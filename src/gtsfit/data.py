@@ -152,17 +152,20 @@ def summary_stats(values) -> SummaryStats:
     """Sample moments: std with divisor n-1, standardized central moments
     with divisor n, kurtosis as the full fourth moment ratio.
 
-    The standardized moments are scale invariant, so they are taken on the
-    deviations divided by their largest magnitude; powers of tiny deviations
-    then cannot underflow.  A sample whose deviations are all zero raises
-    :class:`DegenerateSampleError`.
+    The sample is scaled by a power of two into [-1, 1] first, so a subnormal
+    sample's mean keeps its digits.  The standardized moments are taken on
+    the deviations divided by their largest magnitude, so powers of tiny
+    deviations cannot underflow.  A sample whose deviations are all zero
+    raises :class:`DegenerateSampleError`.
     """
     y = np.asarray(values, dtype=float)
     n = y.size
     if n < 4:
         raise ValueError(f"need at least 4 observations, got {n}")
-    mean = float(y.mean())
-    dev = y - mean
+    _, exp2 = math.frexp(float(np.max(np.abs(y))))
+    ys = np.ldexp(y, -exp2)
+    dev = ys - ys.mean()
+    mean = math.ldexp(float(ys.mean()), exp2)
     scale = float(np.max(np.abs(dev)))
     if scale == 0.0:
         raise DegenerateSampleError("sample has zero variance")
@@ -170,7 +173,7 @@ def summary_stats(values) -> SummaryStats:
     m2 = float(np.mean(z**2))
     m3 = float(np.mean(z**3))
     m4 = float(np.mean(z**4))
-    std = float(y.std(ddof=1))
+    std = math.ldexp(float(ys.std(ddof=1)), exp2)
     return SummaryStats(
         n=n,
         mean=mean,

@@ -13,7 +13,7 @@ is large the curvature metric is the score outer product (the expected
 information estimate), which needs only the density and gradient rows and
 keeps each iteration cheap even when an intermediate iterate forces a very
 large transform grid.  Once the score norm falls below 1e-2 the transform
-grid is frozen at a 4-fold refined resolution and the exact observed
+grid is frozen at a 2-fold refined resolution and the exact observed
 Hessian takes over, so the convergence certificate (score norm and largest
 eigenvalue) always comes from the true second derivatives on a fixed
 quadrature.  In both phases the metric is shifted past its largest

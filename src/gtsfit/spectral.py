@@ -8,12 +8,11 @@ the transform parameter ``delta = beta_step * gamma_step / (2 pi)``, so the
 output window can track the distribution's own scale instead of the FFT
 reciprocal grid.
 
-The evaluation is two-stage: the weighted frequency sum is split into its 12
-panel residues, each residue handled by a length-``n`` fractional FFT with
-parameter ``144 delta`` and fractional shift, and the 13 Newton-Cotes node
-streams are then recombined with their weights and a per-node phase.  A plain
-one-shot fractional transform of the merged weighted sequence computes the
-same sums and is used as a cross-check in the test suite.
+The sums are evaluated in one shot.  The weights are folded into the
+frequency samples; as every row is Hermitian (F(-xi) = conj F(xi), for the
+derivative rows too) one fractional FFT per row, padded to a 5-smooth length,
+takes the m/2+1 samples with xi >= 0 and the result is twice its real part.
+A direct evaluation of the composite sum is the cross-check in the tests.
 
 Grid selection sizes the output window from the slower tempering rate,
 doubles the frequency span until the characteristic function tail is
@@ -38,6 +37,8 @@ _TAIL_TOL = 1e-12
 _IMG_TOL = 1e-11
 _MASS_TOL = 1e-4
 _WINDOW_TOL = 1e-9
+_NODE_CAP = 2**21  # 5x the largest regular grid (BTC, refine 2, coverage 80)
+_ROW_BATCH = 4  # rows per transform, to keep the FFT workspace small
 
 
 class GridError(RuntimeError):
@@ -142,26 +143,37 @@ class DensityTable:
     grid: FourierGrid
 
 
-def _frft(seq: np.ndarray, delta: float, s: float = 0.0, n_out: int | None = None) -> np.ndarray:
-    # G_k = sum_j seq_j exp(-2 pi i j (k+s) delta), k = 0..n_out-1, via the
-    # Bluestein factorization  j(k+s) = [j^2 + (k+s)^2 - (k+s-j)^2] / 2.
-    x = np.asarray(seq, dtype=complex)
-    m = x.shape[-1]
-    if n_out is None:
-        n_out = m
-    need = m + n_out
-    size = 1 << (need - 1).bit_length()
-    j = np.arange(m)
-    y = np.zeros(x.shape[:-1] + (size,), dtype=complex)
-    y[..., :m] = x * np.exp(-1j * np.pi * delta * j * j)
-    z = np.zeros(size, dtype=complex)
-    t = np.arange(n_out)
-    z[:n_out] = np.exp(1j * np.pi * delta * (t + s) ** 2)
-    tneg = np.arange(size - m + 1, size)
-    z[size - m + 1 :] = np.exp(1j * np.pi * delta * (tneg - size + s) ** 2)
-    conv = np.fft.ifft(np.fft.fft(y) * np.fft.fft(z))
-    k = np.arange(n_out)
-    return np.exp(-1j * np.pi * delta * (k + s) ** 2) * conv[..., :n_out]
+def _fast_len(n: int) -> int:
+    # smallest 5-smooth integer >= n (up to 2**39), the sizes pocketfft does fastest
+    odd = (3**i * 5**j for i in range(26) for j in range(18))
+    return min(c << (-(-n // c) - 1).bit_length() for c in odd)
+
+
+def _chirp(delta: float, t: np.ndarray) -> np.ndarray:
+    # exp(i pi delta t^2), with delta t^2 reduced modulo 2 in long double:
+    # in double the phase would carry an error of delta t^2 * 1e-16, which
+    # reaches 1e-12 on the largest grids
+    ld = np.longdouble
+    return np.exp(1j * np.pi * ((ld(delta) * t.astype(ld) ** 2) % 2).astype(float))
+
+
+def _bluestein(m: int, n_out: int, delta: float, s: float):
+    # Plan for G_k = sum_j x_j exp(-2 pi i j (k+s) delta), k = 0..n_out-1, on
+    # rows of length m.  Bluestein's j(k+s) = [j^2 + (k+s)^2 - (k+s-j)^2] / 2
+    # makes it one convolution, padded to a 5-smooth size.  Kernel lags
+    # k - j run over -(m-1)..n_out-1 and wrap modulo that size; the lags in
+    # between are never read.
+    size = _fast_len(m + n_out - 1)
+    t = np.arange(size)
+    z = _chirp(delta, np.where(t < n_out, t, t - size) + np.longdouble(s))
+    pre, kern, post = _chirp(-delta, np.arange(m)), np.fft.fft(z), np.conj(z[:n_out])
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = np.fft.fft(x * pre, n=size)
+        y *= kern
+        return np.fft.ifft(y)[..., :n_out] * post
+
+    return apply
 
 
 def frft(seq, delta: float, s: float = 0.0) -> np.ndarray:
@@ -170,7 +182,8 @@ def frft(seq, delta: float, s: float = 0.0) -> np.ndarray:
     Square transform (as many outputs as inputs); ``delta = 1/m`` with
     ``s = 0`` reproduces the ordinary DFT.
     """
-    return _frft(seq, delta, s, None)
+    x = np.asarray(seq, dtype=complex)
+    return _bluestein(x.shape[-1], x.shape[-1], delta, s)(x)
 
 
 def choose_grid(
@@ -192,7 +205,8 @@ def choose_grid(
     (rounded up to a multiple of 12) and grows until the aliased images of
     the density, entering at the quadrature period and decaying at the
     slower tempering rate, stay below 1e-11 across the output window.
-    ``refine`` multiplies the final panel count.
+    ``refine`` multiplies the final panel count.  A grid of more than 2**21
+    nodes raises :class:`GridError` before anything of that size is built.
     """
     params.validate()
     if m_target < 12:
@@ -224,6 +238,8 @@ def choose_grid(
     m_img = p_req * a / (2.0 * math.pi)
     n = max(math.ceil(m_target / 12.0), math.ceil(m_img / 12.0)) * refine
     m = 12 * n
+    if m > _NODE_CAP:
+        raise GridError(f"grid needs m = {m} nodes, above the cap of {_NODE_CAP}")
     beta = a / m
     gamma = span / m
     return FourierGrid(
@@ -260,59 +276,35 @@ def _char_rows(params: GtsParams, grid: FourierGrid, order: int):
     return np.array(rows)
 
 
-def _invert_rows(rows: np.ndarray, grid: FourierGrid, chunk: int = 64) -> np.ndarray:
-    """Two-stage weighted inverse transform of char-function sample rows.
+def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
+    """Inverse transform of char-function sample rows, one fractional FFT each.
 
-    ``rows`` has shape (R, m+1); the result holds the corresponding real
-    functions on the m+1 output points x_k = center + (k + s - m/2) gamma.
+    ``rows`` (R, m+1) samples Hermitian functions at xi_q = (q - m/2) beta_step;
+    the result holds f(x_k) = beta_step/(2 pi) sum_q W_q rows[q] exp(i xi_q x_k)
+    on the m+1 points of :func:`_output_points`, W the composite weights, as
+    twice the real part of the xi >= 0 half (xi = 0 at half weight).  A row's
+    asymmetry beta_step/(2 pi) sum_{xi>=0} W |r(xi) - conj r(-xi)| bounds the
+    imaginary residue of the full sum; it must stay below 1e-8 on the leading
+    8 rows and below 1e-6 (1 + max|f|) on second-order rows.
     """
-    m, n, delta, s = grid.m, grid.n, grid.delta, grid.s
+    m, h = grid.m, grid.m // 2
     w = newton_cotes_weights()
-    q = np.arange(m + 1)
-    xi = (q - m / 2.0) * grid.beta_step
-    v = rows * (np.exp(1j * grid.center * xi) * np.exp(-1j * np.pi * delta * m * q))
-    nrows = v.shape[0]
-
-    # panel node streams: pan[:, j, p] = v[:, 12 p + j]
-    pan = np.empty((nrows, 13, n), dtype=complex)
-    for j in range(13):
-        pan[:, j, :] = v[:, j : j + 12 * n : 12][:, :n]
-    flat = pan.reshape(nrows * 13, n)
-
-    # keep the padded FFT workspace of one batch around 100 MB even when a
-    # pathological parameter corner pushes m toward the node cap
-    chunk = max(4, min(chunk, 2_000_000 // (n + 1)))
-
-    big_s = np.empty((nrows, m + 1), dtype=complex)
-    l_idx = np.arange(n + 1)
-    for r in range(12):
-        inner = np.empty((nrows * 13, n + 1), dtype=complex)
-        for c0 in range(0, nrows * 13, chunk):
-            inner[c0 : c0 + chunk] = _frft(
-                flat[c0 : c0 + chunk], -144.0 * delta, (r + s) / 12.0, n_out=n + 1
-            )
-        inner = inner.reshape(nrows, 13, n + 1)
-        kk = r + 12 * l_idx
-        sel = kk <= m
-        ph = np.exp(2j * np.pi * delta * np.outer(np.arange(13), kk[sel] + s))
-        big_s[:, kk[sel]] = np.einsum("j,ajl,jl->al", w, inner[:, :, sel], ph)
-
-    k = np.arange(m + 1)
-    out = (
-        (grid.beta_step / (2.0 * math.pi))
-        * np.exp(1j * np.pi * delta * m * m / 2.0)
-        * np.exp(-1j * np.pi * delta * m * (k + s))
-        * big_s
-    )
-    lead = min(8, out.shape[0])
-    im_lead = float(np.abs(out[:lead].imag).max())
-    if im_lead > 1e-8:
-        raise GridError(f"imaginary residue {im_lead:.3e} exceeds 1e-8")
-    for i in range(lead, out.shape[0]):
-        scale = 1.0 + float(np.abs(out[i].real).max())
-        if float(np.abs(out[i].imag).max()) > 1e-6 * scale:
-            raise GridError("imaginary residue in second-order row")
-    return np.ascontiguousarray(out.real)
+    wq = np.tile(np.concatenate(([2.0 * w[0]], w[1:12])), grid.n + 1)[h : m + 1]
+    wq[0], wq[-1] = 0.5 * wq[0], w[12]
+    scale = grid.beta_step / (2.0 * math.pi)
+    phase = 2.0 * scale * wq * np.exp(1j * grid.center * grid.beta_step * np.arange(h + 1))
+    transform = _bluestein(h + 1, m + 1, -grid.delta, grid.s - h)
+    out = np.empty((rows.shape[0], m + 1))
+    for b in range(0, rows.shape[0], _ROW_BATCH):
+        blk = rows[b : b + _ROW_BATCH]
+        # einsum, not @: a threaded BLAS product costs more than it saves here
+        bounds = scale * np.einsum("rq,q->r", np.abs(blk[:, h:] - np.conj(blk[:, h::-1])), wq)
+        out[b : b + _ROW_BATCH] = transform(blk[:, h:] * phase).real
+        for i, bound in enumerate(bounds, start=b):
+            limit = 1e-8 if i < 8 else 1e-6 * (1.0 + float(np.abs(out[i]).max()))
+            if bound > limit:
+                raise GridError(f"imaginary residue {bound:.3e} in row {i} exceeds {limit:.3e}")
+    return out
 
 
 def _output_points(grid: FourierGrid) -> np.ndarray:

@@ -202,3 +202,11 @@ def test_numeric_failure_exit(tmp_path):
     save_params(GtsParams(0.0, 0.95, 0.95, 1e-8, 1e-8, 0.1, 0.1), hard)
     code = main(["pdf", "--params", str(hard), "--out", str(tmp_path)])
     assert code == EXIT_NUMERIC
+
+
+def test_grid_above_node_cap_exit(sp_json, tmp_path):
+    # a transform size above the node cap is refused before it is allocated
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"grid_m": 12 * (2**21 // 12 + 1)}), encoding="utf-8")
+    code = main(["pdf", "--config", str(cfg), "--params", str(sp_json), "--out", str(tmp_path)])
+    assert code == EXIT_NUMERIC

@@ -174,11 +174,24 @@ def test_summary_stats_matches_numpy(xs):
     assert stats.mean == pytest.approx(float(np.mean(arr)), rel=1e-9, abs=1e-9)
     assert stats.std_dev == pytest.approx(float(np.std(arr, ddof=1)), rel=1e-9, abs=1e-9)
     # standardized moments are scale free; scaling keeps the powers representable
-    m2 = float(np.mean((dev / scale) ** 2))
-    m3 = float(np.mean((dev / scale) ** 3))
-    m4 = float(np.mean((dev / scale) ** 4))
+    # and, by a power of two before the mean, keeps a subnormal sample's mean
+    # from rounding away (the mean of [0, 0, 0, 5e-324] is 0 in float)
+    low = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
+    low_dev = low - low.mean()
+    low_dev /= np.max(np.abs(low_dev))
+    m2 = float(np.mean(low_dev**2))
+    m3 = float(np.mean(low_dev**3))
+    m4 = float(np.mean(low_dev**4))
     assert stats.skewness == pytest.approx(m3 / m2**1.5, rel=1e-7, abs=1e-7)
     assert stats.kurtosis == pytest.approx(m4 / m2**2, rel=1e-7, abs=1e-7)
+
+
+def test_summary_stats_subnormal_sample():
+    # one smallest subnormal among zeros: the exact skewness is 2/sqrt(3)
+    # and the kurtosis 7/3, whatever the scale of the nonzero value
+    stats = summary_stats([0.0, 0.0, 0.0, 5e-324])
+    assert stats.skewness == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-14)
+    assert stats.kurtosis == pytest.approx(7.0 / 3.0, rel=1e-14)
 
 
 def test_summary_stats_minimum_size():

@@ -139,6 +139,11 @@ def test_grid_rejects_untempered_tail():
         choose_grid(p, m_target=96)
 
 
+def test_grid_rejects_size_above_node_cap():
+    with pytest.raises(GridError, match="2097152"):
+        choose_grid(SP, m_target=2**21 + 12)
+
+
 def test_grid_validates_arguments():
     with pytest.raises(ValueError):
         choose_grid(SP, m_target=6)
@@ -199,6 +204,46 @@ def test_two_stage_matches_direct_sum():
         * S
     )
     assert np.max(np.abs(got - np.real(want))) < 1e-11
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_rows_match_direct_sum(order):
+    # every gradient and second-derivative row against the plain composite
+    # sum  beta/(2 pi) sum_q W_q r(xi_q) exp(i xi_q x_k)
+    grid = _small_grid(SP)
+    rows = _char_rows(SP, grid, order)
+    got = _invert_rows(rows, grid)
+    w12 = newton_cotes_weights()
+    w = np.zeros(grid.m + 1)
+    for p in range(grid.n):
+        w[12 * p : 12 * p + 13] += w12
+    xi = (np.arange(grid.m + 1) - grid.m / 2.0) * grid.beta_step
+    phase = np.exp(1j * np.outer(xi, _output_points(grid)))
+    want = (grid.beta_step / (2.0 * math.pi) * ((w * rows) @ phase)).real
+    assert got.shape == want.shape == (8 if order == 1 else 36, grid.m + 1)
+    assert np.max(np.abs(got - want)) < 1e-11
+
+
+def test_non_hermitian_leading_row_rejected():
+    # an imaginary even part in a leading row (here the beta_minus gradient)
+    # would leave an imaginary residue in the full sum; the half-spectrum
+    # engine must refuse it
+    grid = _small_grid(SP)
+    rows = _char_rows(SP, grid, order=1)
+    xi = (np.arange(grid.m + 1) - grid.m / 2.0) * grid.beta_step
+    rows[3] += 1e-6j * np.exp(-xi * xi)
+    with pytest.raises(GridError, match="imaginary residue .* in row 3"):
+        _invert_rows(rows, grid)
+
+
+def test_non_hermitian_second_order_row_rejected():
+    grid = _small_grid(SP)
+    rows = _char_rows(SP, grid, order=2)
+    xi = (np.arange(grid.m + 1) - grid.m / 2.0) * grid.beta_step
+    size = 1.0 + np.abs(_invert_rows(rows, grid)[20]).max()
+    rows[20] += 1e-3j * size * np.exp(-xi * xi)
+    with pytest.raises(GridError, match="imaginary residue .* in row 20"):
+        _invert_rows(rows, grid)
 
 
 def test_normal_density_round_trip():
