@@ -37,7 +37,7 @@ from .risk import (
     write_risk_csv,
 )
 from .special_linalg import ConvergenceError, PoleError, SingularMatrixError
-from .spectral import GridError, SpanError, choose_grid, density_table
+from .spectral import GridError, SpanError, _write_blocks, choose_grid, density_table, write_density_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -287,16 +287,7 @@ def cmd_pdf(cfg: RunConfig) -> int:
     var_ = ms.std_dev**2
     normal = np.exp(-((table.x - ms.mean) ** 2) / (2.0 * var_)) / math.sqrt(2.0 * math.pi * var_)
     outdir = _outdir(cfg)
-    with open(outdir / "density.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "x,f,F,df_mu,df_beta_plus,df_beta_minus,df_alpha_plus,"
-            "df_alpha_minus,df_lambda_plus,df_lambda_minus,normal\n"
-        )
-        for i in range(table.x.size):
-            cells = [table.x[i], table.f[i], table.F[i]]
-            cells.extend(table.df[:, i])
-            cells.append(normal[i])
-            fh.write(",".join(f"{v:.17g}" for v in cells) + "\n")
+    write_density_csv(table, outdir / "density.csv", extra=("normal", normal))
     lo, hi = cfg.interval
     p = prob_interval(table, lo, hi)
     print(f"{table.x.size} grid points on [{table.x[0]:.6g}, {table.x[-1]:.6g}]")
@@ -367,8 +358,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     with open(outdir / "synth.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value\n")
-        for v in sample:
-            fh.write(f"{v:.17g}\n")
+        _write_blocks(fh, "%.17g\n", [sample])
     print(f"wrote {sample.size} draws (seed {cfg.seed})")
     _write_manifest(outdir, cfg, "synth")
     return EXIT_OK

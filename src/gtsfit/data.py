@@ -155,21 +155,22 @@ def summary_stats(values) -> SummaryStats:
     The sample is scaled by a power of two into [-1, 1] first, so a subnormal
     sample's mean keeps its digits.  The standardized moments are taken on
     the deviations divided by their largest magnitude, so powers of tiny
-    deviations cannot underflow.  A sample whose deviations are all zero
-    raises :class:`DegenerateSampleError`.
+    deviations cannot underflow.  A constant sample (``min == max``) raises
+    :class:`DegenerateSampleError`: its deviations from the rounded mean are
+    rounding noise, not moments.
     """
     y = np.asarray(values, dtype=float)
     n = y.size
     if n < 4:
         raise ValueError(f"need at least 4 observations, got {n}")
+    if y.min() == y.max():
+        raise DegenerateSampleError("sample has zero variance")
     _, exp2 = math.frexp(float(np.max(np.abs(y))))
     ys = np.ldexp(y, -exp2)
     dev = ys - ys.mean()
     mean = math.ldexp(float(ys.mean()), exp2)
-    scale = float(np.max(np.abs(dev)))
-    if scale == 0.0:
-        raise DegenerateSampleError("sample has zero variance")
-    z = dev / scale
+    # nonzero: two distinct floats cannot both equal the rounded mean
+    z = dev / float(np.max(np.abs(dev)))
     m2 = float(np.mean(z**2))
     m3 = float(np.mean(z**3))
     m4 = float(np.mean(z**4))

@@ -41,6 +41,7 @@ _DENSITY_FLOOR = 1e-300
 _FREEZE_GNORM = 1e-2
 _FREEZE_REFINE = 2
 _COVERAGE = 40.0
+_SAMPLE_BLOCK = 8192  # levels per quantile call in sample_inverse_cdf
 
 
 class FitStatus(enum.Enum):
@@ -328,10 +329,20 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
 
 
 def sample_inverse_cdf(params: GtsParams, n: int, seed: int, grid_m: int = 8192) -> np.ndarray:
-    """Seeded synthetic sample by inverse-CDF transform of uniform draws."""
+    """Seeded synthetic sample by inverse-CDF transform of uniform draws.
+
+    The n uniform levels come from one ``default_rng(seed)`` call.  They are
+    inverted through the clamped central-difference quartic of
+    :func:`~gtsfit.risk._quantile_clamped`, a block of ``_SAMPLE_BLOCK``
+    levels at a time, so the solver's workspace stays O(block) beside the
+    output.
+    """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     grid = choose_grid(params, grid_m)
     table = density_table(params, grid)
     u = np.random.default_rng(seed).random(n)
-    return np.array([_quantile_clamped(table, ui) for ui in u])
+    out = np.empty(n)
+    for lo in range(0, n, _SAMPLE_BLOCK):
+        out[lo : lo + _SAMPLE_BLOCK] = _quantile_clamped(table, u[lo : lo + _SAMPLE_BLOCK])
+    return out

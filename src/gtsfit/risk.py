@@ -2,10 +2,12 @@
 
 Quantiles are signed (losses are negative returns), so the lower tail holds
 the loss quantiles.  VaR inverts the tabulated CDF through the same local
-cubic that :func:`~gtsfit.spectral.cdf_at` evaluates; AVaR adds the expected
-shortfall beyond VaR, evaluated as a Fourier integral of the characteristic
-function along a contour shifted off the real axis by an offset ``q`` small
-enough to stay inside the tempering strip of the relevant tail.
+cubic that :func:`~gtsfit.spectral.cdf_at` evaluates; the sampler's quantile
+inverts it through a clamped central-difference quartic instead, on whole
+arrays of levels.  AVaR adds the expected shortfall beyond VaR, evaluated as
+a Fourier integral of the characteristic function along a contour shifted
+off the real axis by an offset ``q`` small enough to stay inside the
+tempering strip of the relevant tail.
 """
 
 from __future__ import annotations
@@ -108,8 +110,58 @@ def empirical_avar(sample, alpha: float, side: TailSide) -> float:
     return float(-mean if side is TailSide.UPPER_TAIL else mean)
 
 
-def _poly4(b, y: float) -> float:
+def _poly4(b, y):
     return b[0] + y * (b[1] + y * (b[2] + y * (b[3] + y * b[4])))
+
+
+def _quartic_roots(b: np.ndarray):
+    """Roots on [0, 1] of the quartics whose coefficients are the rows of ``b``.
+
+    ``b`` has shape (5, n), lowest degree first.  Returns ``(y, bracketed)``:
+    ``y`` holds the roots and is NaN where ``bracketed`` is False, that is
+    where the endpoint values agree in sign.  Every element runs the same
+    Newton iteration bracketed with bisection, seeded at the linear estimate
+    -b0/b1; an element leaves the loop once its residual is below
+    1e-12 * max|b_i|, so the result does not depend on its neighbours.
+    """
+    tol = 1e-12 * np.maximum(np.abs(b).max(axis=0), 1e-300)
+    v0 = b[0]
+    v1 = _poly4(b, 1.0)
+    at0 = np.abs(v0) <= tol
+    at1 = ~at0 & (np.abs(v1) <= tol)
+    bracketed = at0 | at1 | ~(v0 * v1 > 0.0)
+    y_out = np.full(v0.shape, np.nan)
+    y_out[at0] = 0.0
+    y_out[at1] = 1.0
+    act = np.flatnonzero(bracketed & ~at0 & ~at1)
+    c, tol, neg0 = b[:, act], tol[act], v0[act] < 0.0
+    lo, hi = np.zeros(act.size), np.ones(act.size)
+    # min(max(-b0/b1, 0), 1) with Python's min/max tie rules, 0.5 when b1 = 0
+    has_b1 = c[1] != 0.0
+    y = -c[0] / np.where(has_b1, c[1], 1.0)
+    y = np.where(0.0 > y, 0.0, y)
+    y = np.where(y > 1.0, 1.0, y)
+    y = np.where(has_b1, y, 0.5)
+    for _ in range(100):
+        py = _poly4(c, y)
+        done = np.abs(py) <= tol
+        if done.any():
+            y_out[act[done]] = y[done]
+            keep = ~done
+            act, c, tol, neg0 = act[keep], c[:, keep], tol[keep], neg0[keep]
+            y, py, lo, hi = y[keep], py[keep], lo[keep], hi[keep]
+            if act.size == 0:
+                break
+        same = (py < 0.0) == neg0
+        lo = np.where(same, y, lo)
+        hi = np.where(same, hi, y)
+        dp = c[1] + y * (2.0 * c[2] + y * (3.0 * c[3] + y * 4.0 * c[4]))
+        mid = 0.5 * (lo + hi)
+        has_dp = dp != 0.0
+        yn = np.where(has_dp, y - py / np.where(has_dp, dp, 1.0), mid)
+        y = np.where((lo < yn) & (yn < hi), yn, mid)
+    y_out[act] = y
+    return y_out, bracketed
 
 
 def quartic_root_unit(b0: float, b1: float, b2: float, b3: float, b4: float) -> float:
@@ -117,35 +169,13 @@ def quartic_root_unit(b0: float, b1: float, b2: float, b3: float, b4: float) -> 
 
     Requires a sign change between the endpoints; solved by Newton iteration
     bracketed with bisection, seeded at the linear estimate -b0/b1.  The
-    residual at the returned root is below 1e-12 * max|b_i|.
+    residual at the returned root is below 1e-12 * max|b_i|.  The scalar
+    entry to the same loop the sampler runs on whole arrays.
     """
-    b = (b0, b1, b2, b3, b4)
-    scale = max(abs(c) for c in b)
-    tol = 1e-12 * max(scale, 1e-300)
-    v0 = b0
-    v1 = _poly4(b, 1.0)
-    if abs(v0) <= tol:
-        return 0.0
-    if abs(v1) <= tol:
-        return 1.0
-    if v0 * v1 > 0.0:
+    y, bracketed = _quartic_roots(np.array([[b0], [b1], [b2], [b3], [b4]], dtype=float))
+    if not bracketed[0]:
         raise NoBracketError("no sign change of the quartic on [0, 1]")
-    lo, hi = 0.0, 1.0
-    y = min(max(-b0 / b1, 0.0), 1.0) if b1 != 0.0 else 0.5
-    for _ in range(100):
-        py = _poly4(b, y)
-        if abs(py) <= tol:
-            return float(y)
-        if (py < 0.0) == (v0 < 0.0):
-            lo = y
-        else:
-            hi = y
-        dp = b1 + y * (2.0 * b2 + y * (3.0 * b3 + y * 4.0 * b4))
-        yn = y - py / dp if dp != 0.0 else 0.5 * (lo + hi)
-        if not lo < yn < hi:
-            yn = 0.5 * (lo + hi)
-        y = yn
-    return float(y)
+    return float(y[0])
 
 
 def var(table: DensityTable, alpha: float) -> float:
@@ -176,26 +206,25 @@ def var(table: DensityTable, alpha: float) -> float:
     return float(table.x[i] + y * (table.x[i + 1] - table.x[i]))
 
 
-def _quantile_clamped(table: DensityTable, alpha: float) -> float:
-    # Sampler quantile from a central-difference quartic, not the cubic that
+def _quantile_clamped(table: DensityTable, u: np.ndarray) -> np.ndarray:
+    # Sampler quantiles from a central-difference quartic, not the cubic that
     # var() shares with cdf_at(): switching it would move every seeded draw.
     # Clamps the bracket into the valid stencil range instead of raising, so
-    # extreme uniform draws stay usable.
+    # extreme uniform draws stay usable; where the quartic has no sign change
+    # on the cell the draw falls back to linear interpolation.
     big_f = table.F
     m = big_f.size
-    i = int(np.searchsorted(big_f, alpha, side="left")) - 1
-    i = min(max(i, 2), m - 4)
+    i = np.clip(np.searchsorted(big_f, u, side="left") - 1, 2, m - 4)
     fm2, fm1, f0, f1, f2 = (big_f[i + j] for j in range(-2, 3))
     a1 = (f1 - fm1) / 2.0
     a2 = fm1 - 2.0 * f0 + f1
     a3 = (-fm2 + 2.0 * fm1 - 2.0 * f1 + f2) / 2.0
     a4 = fm2 - 4.0 * fm1 + 6.0 * f0 - 4.0 * f1 + f2
-    try:
-        y = quartic_root_unit(f0 - alpha, a1, a2 / 2.0, a3 / 6.0, a4 / 24.0)
-    except NoBracketError:
-        den = f1 - f0
-        y = 0.5 if den <= 0.0 else (alpha - f0) / den
-    return float(table.x[i] + y * (table.x[i + 1] - table.x[i]))
+    y, bracketed = _quartic_roots(np.stack((f0 - u, a1, a2 / 2.0, a3 / 6.0, a4 / 24.0)))
+    den = f1 - f0
+    linear = np.where(den <= 0.0, 0.5, (u - f0) / np.where(den <= 0.0, 1.0, den))
+    y = np.where(bracketed, y, linear)
+    return table.x[i] + y * (table.x[i + 1] - table.x[i])
 
 
 def _composite_weights(nodes: int) -> np.ndarray:

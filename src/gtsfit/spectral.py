@@ -39,6 +39,7 @@ _MASS_TOL = 1e-4
 _WINDOW_TOL = 1e-9
 _NODE_CAP = 2**21  # 5x the largest regular grid (BTC, refine 2, coverage 80)
 _ROW_BATCH = 4  # rows per transform, to keep the FFT workspace small
+_CSV_BLOCK_ROWS = 4096  # rows formatted per write by the CSV writers
 
 
 class GridError(RuntimeError):
@@ -399,17 +400,36 @@ _CSV_HEADER = (
 )
 
 
-def write_density_csv(table: DensityTable, path) -> None:
+def _write_blocks(fh, row_template: str, cols) -> None:
+    # One %-template per row, _CSV_BLOCK_ROWS rows per write: the columns are
+    # formatted a block at a time, so the file is never built in memory.
+    for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in cols]).tolist()
+        fh.write("".join([row_template % tuple(row) for row in block]))
+
+
+def write_density_csv(table: DensityTable, path, extra=None) -> None:
     """Write the table as CSV, 17 significant digits, LF line endings.
 
     The header always carries the seven derivative columns; the cells stay
-    blank when the table was built without derivative rows.
+    blank when the table was built without derivative rows.  ``extra``, a
+    ``(name, values)`` pair with one value per table node, adds one trailing
+    column (the CLI's ``normal`` reference density).  Rows are formatted and
+    written in blocks of ``_CSV_BLOCK_ROWS``.
     """
     cols = [table.x, table.f, table.F]
+    cells = ["%.17g"] * 3
     if table.df is not None:
         cols.extend(table.df)
-    pad = "" if table.df is not None else "," * 7
+        cells += ["%.17g"] * 7
+    else:
+        cells += [""] * 7
+    header = _CSV_HEADER
+    if extra is not None:
+        name, values = extra
+        cols.append(values)
+        cells.append("%.17g")
+        header += "," + name
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + pad + "\n")
+        fh.write(header + "\n")
+        _write_blocks(fh, ",".join(cells) + "\n", cols)

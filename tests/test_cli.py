@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gtsfit.cli import DEFAULT_LEVELS, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_OK, main
-from gtsfit.gts_model import GtsParams, save_params
+from gtsfit.gts_model import GtsParams, load_params, moment_stats, save_params
+from gtsfit.mle import sample_inverse_cdf
+from gtsfit.spectral import choose_grid, density_table, write_density_csv
 
 from conftest import SP_PARAMS
 
@@ -66,6 +68,38 @@ def test_pdf_runs(sp_json, tmp_path, capsys):
     assert lines[0].endswith(",normal")
     assert len(lines[1].split(",")) == 11
     assert "P(-1.06 < X <= 1.23)" in capsys.readouterr().out
+
+
+def test_pdf_density_csv_is_the_table_writer(sp_json, tmp_path):
+    out = tmp_path / "o3b"
+    assert main(["pdf", "--params", str(sp_json), "--out", str(out)]) == EXIT_OK
+    params = load_params(sp_json)
+    table = density_table(params, choose_grid(params, 8196), with_derivatives=True)
+    write_density_csv(table, tmp_path / "table.csv")
+    cli_lines = (out / "density.csv").read_bytes().split(b"\n")
+    table_lines = (tmp_path / "table.csv").read_bytes().split(b"\n")
+    assert len(cli_lines) == len(table_lines) == table.x.size + 2  # header, rows, final ""
+    assert [ln.rpartition(b",")[0] for ln in cli_lines[:-1]] == table_lines[:-1]
+    cells = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+    for k, col in enumerate([table.x, table.f, table.F, *table.df]):
+        assert np.array_equal(cells[:, k], col)
+    ms = moment_stats(params)
+    normal = np.exp(-((table.x - ms.mean) ** 2) / (2.0 * ms.std_dev**2)) / np.sqrt(
+        2.0 * np.pi * ms.std_dev**2
+    )
+    assert np.array_equal(cells[:, 10], normal)
+
+
+def test_synth_csv_round_trips_draws(sp_json, tmp_path):
+    # more draws than one write block, each at 17 significant digits
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"synth_n": 5000}), encoding="utf-8")
+    out = tmp_path / "s"
+    code = main(["synth", "--config", str(cfg), "--params", str(sp_json), "--seed", "5", "--out", str(out)])
+    assert code == EXIT_OK
+    draws = sample_inverse_cdf(load_params(sp_json), 5000, 5, 8196)
+    want = ["value\n"] + [f"{v:.17g}\n" for v in draws]
+    assert (out / "synth.csv").read_text(encoding="utf-8").splitlines(keepends=True) == want
 
 
 def test_risk_with_empirical(returns_csv, sp_json, tmp_path):

@@ -161,12 +161,11 @@ def test_summary_stats_hand_values():
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=300))
 @example([0.0, 0.0, 0.0, 7.7e-93])  # dev**4 underflows; exact skew 1.1547, kurt 2.3333
+@example([0.1] * 7)  # the rounded mean differs from 0.1: deviations are noise
 @settings(max_examples=100)
 def test_summary_stats_matches_numpy(xs):
     arr = np.asarray(xs)
-    dev = arr - arr.mean()
-    scale = float(np.max(np.abs(dev)))
-    if scale == 0.0:
+    if arr.min() == arr.max():
         with pytest.raises(DegenerateSampleError):
             summary_stats(xs)
         return
@@ -192,6 +191,15 @@ def test_summary_stats_subnormal_sample():
     stats = summary_stats([0.0, 0.0, 0.0, 5e-324])
     assert stats.skewness == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-14)
     assert stats.kurtosis == pytest.approx(7.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("value, n", [(25.642629613365997, 5), (0.1, 7)])
+def test_summary_stats_constant_sample(value, n):
+    # the float mean of these constant samples is not the value itself, so
+    # the deviations from it are rounding noise (skewness -1 or 1, kurtosis 1)
+    assert np.mean([value] * n) != value
+    with pytest.raises(DegenerateSampleError):
+        summary_stats([value] * n)
 
 
 def test_summary_stats_minimum_size():

@@ -5,6 +5,7 @@ import pytest
 
 from gtsfit.gts_model import GtsParams, char_exponent, cumulants
 from gtsfit.mle import (
+    _SAMPLE_BLOCK,
     FitOptions,
     FitStatus,
     FitTrace,
@@ -18,6 +19,10 @@ from gtsfit.mle import (
     score,
     write_trace_csv,
 )
+from gtsfit.risk import _quantile_clamped
+from gtsfit.spectral import choose_grid, density_table
+
+from conftest import BTC_PARAMS
 
 SP = GtsParams(-0.693477, 0.682290, 0.242579, 0.458582, 0.414443, 0.822222, 0.727607)
 
@@ -105,6 +110,35 @@ def test_sampler_deterministic():
     c = sample_inverse_cdf(SP, 50, seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# 17-digit draws recorded before the sampler was vectorised; the blocks must
+# reproduce every seeded draw bit for bit
+GOLDEN_SEED3 = {
+    "sp": (
+        -1.2591017109775213, -0.42882419054127463, 0.70629446299538035, 0.20290405227501496,
+        -1.1748063154055559, -0.034535952887080321, 0.036801922875662904, -0.72739364601801482,
+    ),
+    "btc": (
+        -4.3804262766743518, -1.4644215621273353, 2.3853228754831042, 0.56411573882363442,
+        -4.0803662615891492, -0.18014611981022124, 0.035046963968919133, -2.5015285501161664,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_sampler_golden_draws(key):
+    params = SP if key == "sp" else BTC_PARAMS
+    draws = sample_inverse_cdf(params, 8, seed=3)
+    assert draws.tolist() == list(GOLDEN_SEED3[key])
+
+
+def test_sampler_blocks_match_one_quantile_call():
+    # a sample longer than one block equals one quantile call on all levels
+    n = _SAMPLE_BLOCK + 37
+    table = density_table(SP, choose_grid(SP, 8192))
+    u = np.random.default_rng(7).random(n)
+    assert np.array_equal(sample_inverse_cdf(SP, n, seed=7), _quantile_clamped(table, u))
 
 
 def test_sampler_moments():

@@ -15,6 +15,8 @@ from gtsfit.risk import (
     PayoffSide,
     RiskReport,
     TailSide,
+    _quantile_clamped,
+    _quartic_roots,
     avar,
     empirical_avar,
     empirical_var,
@@ -150,6 +152,117 @@ def test_var_edge_bracket(sp_table):
     # far beyond tabulated mass: the bracket lands on the table edge
     with pytest.raises(BracketEdgeError):
         var(sp_table, 1e-15)
+
+
+# -- sampler quantile ---------------------------------------------------------
+#
+# The scalar solver and sampler quantile as they stood before they were
+# vectorised, kept as the oracle: the array versions must reproduce them bit
+# for bit, since every seeded sample is drawn through them.
+
+
+def _quartic_reference(b0, b1, b2, b3, b4):
+    b = (b0, b1, b2, b3, b4)
+
+    def poly(y):
+        return b[0] + y * (b[1] + y * (b[2] + y * (b[3] + y * b[4])))
+
+    tol = 1e-12 * max(max(abs(c) for c in b), 1e-300)
+    v0, v1 = b0, poly(1.0)
+    if abs(v0) <= tol:
+        return 0.0
+    if abs(v1) <= tol:
+        return 1.0
+    if v0 * v1 > 0.0:
+        raise NoBracketError("no sign change")
+    lo, hi = 0.0, 1.0
+    y = min(max(-b0 / b1, 0.0), 1.0) if b1 != 0.0 else 0.5
+    for _ in range(100):
+        py = poly(y)
+        if abs(py) <= tol:
+            return float(y)
+        if (py < 0.0) == (v0 < 0.0):
+            lo = y
+        else:
+            hi = y
+        dp = b1 + y * (2.0 * b2 + y * (3.0 * b3 + y * 4.0 * b4))
+        yn = y - py / dp if dp != 0.0 else 0.5 * (lo + hi)
+        if not lo < yn < hi:
+            yn = 0.5 * (lo + hi)
+        y = yn
+    return float(y)
+
+
+def _quantile_reference(table, alpha):
+    """(draw, took the linear fallback) for one level."""
+    big_f = table.F
+    m = big_f.size
+    i = int(np.searchsorted(big_f, alpha, side="left")) - 1
+    i = min(max(i, 2), m - 4)
+    fm2, fm1, f0, f1, f2 = (big_f[i + j] for j in range(-2, 3))
+    a1 = (f1 - fm1) / 2.0
+    a2 = fm1 - 2.0 * f0 + f1
+    a3 = (-fm2 + 2.0 * fm1 - 2.0 * f1 + f2) / 2.0
+    a4 = fm2 - 4.0 * fm1 + 6.0 * f0 - 4.0 * f1 + f2
+    fell_back = False
+    try:
+        y = _quartic_reference(f0 - alpha, a1, a2 / 2.0, a3 / 6.0, a4 / 24.0)
+    except NoBracketError:
+        fell_back = True
+        den = f1 - f0
+        y = 0.5 if den <= 0.0 else (alpha - f0) / den
+    return float(table.x[i] + y * (table.x[i + 1] - table.x[i])), fell_back
+
+
+def test_quartic_roots_match_scalar_reference():
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((5, 3000)) * np.array([[1.0], [1.0], [0.5], [0.3], [0.2]])
+    b[1, :50] = 0.0  # seed at the midpoint
+    b[0, 50:60] = 0.0  # root at 0
+    b[0, 60:70] = -b[1:, 60:70].sum(axis=0)  # root at 1
+    y, bracketed = _quartic_roots(b)
+    n_bracketed = 0
+    for k in range(b.shape[1]):
+        try:
+            want = _quartic_reference(*b[:, k])
+        except NoBracketError:
+            assert not bracketed[k] and np.isnan(y[k])
+            continue
+        n_bracketed += 1
+        assert bracketed[k] and y[k] == want
+        if k % 10 == 0:
+            assert quartic_root_unit(*b[:, k]) == want
+    assert 500 < n_bracketed < b.shape[1]
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_sampler_quantile_edge_levels(key, sp_table, btc_table):
+    table = sp_table if key == "sp" else btc_table
+    big_f, x = table.F, table.x
+    edges = [0.0, 5e-324, big_f[0], big_f[2], big_f[-1], 1.0 - 2.0**-53]
+    # levels at and next to the nodes' own CDF values, where rounding can
+    # cancel the quartic's sign change on the cell
+    nodes = big_f[:: big_f.size // 700]
+    probes = np.concatenate((nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0)))
+    probes = probes[probes < 1.0]
+    fallback = [a for a in probes if _quantile_reference(table, a)[1]]
+    assert any(0.01 < a < 0.99 for a in fallback)  # not only at the clamped ends
+    rng = np.random.default_rng(31)
+    levels = np.concatenate((edges, fallback, rng.random(300)))
+    ref = [_quantile_reference(table, a) for a in levels]
+    # all edges but F[2], the clamped bottom cell's own left node, fall back
+    assert [fb for _, fb in ref[:6]] == [True, True, True, False, True, True]
+    got = _quantile_clamped(table, levels)
+    assert np.array_equal(got, [d for d, _ in ref])
+    assert np.all(np.isfinite(got))
+    order = np.argsort(levels, kind="stable")
+    assert np.all(np.diff(got[order]) >= 0.0)
+    # below the table's last CDF value every draw stays on the table; at and
+    # above it the clamped top cell's linear fallback may run past the last
+    # node (SP: 0.2 grid steps at F[-1], 1.0 at 1 - 2**-53)
+    inside = levels < big_f[-1]
+    assert np.all((got[inside] >= x[0]) & (got[inside] <= x[-1]))
+    assert np.all(got[~inside] >= x[-1])
 
 
 # -- tail payoff via contour integration --------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from gtsfit.gts_model import GtsParams, char_fn, cumulants
 from gtsfit.spectral import (
+    _CSV_BLOCK_ROWS,
     FourierGrid,
     GridError,
     SpanError,
@@ -379,6 +380,28 @@ def test_density_csv_layout(tmp_path, sp_table):
     assert float(first[0]) == pytest.approx(sp_table.x[0])
     # derivative columns blank when the table was built without them
     assert first[3:] == [""] * 7
+
+
+@pytest.mark.parametrize("with_derivatives", [False, True])
+def test_density_csv_matches_cell_formatting(tmp_path, with_derivatives):
+    # the block writer against a plain one-cell-at-a-time f-string loop, over
+    # several write blocks and a trailing extra column
+    table = density_table(SP, choose_grid(SP, 8192), with_derivatives=with_derivatives)
+    extra = np.linspace(-1.0, 1.0, table.x.size) ** 3
+    path = tmp_path / "d.csv"
+    write_density_csv(table, path, extra=("cube", extra))
+    cols = [table.x, table.f, table.F, *(table.df if with_derivatives else [])]
+    pad = "" if with_derivatives else "," * 7
+    want = [
+        "x,f,F,df_mu,df_beta_plus,df_beta_minus,df_alpha_plus,"
+        "df_alpha_minus,df_lambda_plus,df_lambda_minus,cube\n"
+    ]
+    for i in range(table.x.size):
+        want.append(",".join(f"{c[i]:.17g}" for c in cols) + pad + f",{extra[i]:.17g}\n")
+    assert table.x.size > _CSV_BLOCK_ROWS
+    # lines, not one string: a failing comparison then reports the first
+    # differing row instead of diffing megabytes
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == want
 
 
 def test_density_csv_derivatives(tmp_path):
