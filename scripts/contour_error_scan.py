@@ -20,7 +20,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from gtsfit.gts_model import load_params, cumulants  # noqa: E402
-from gtsfit.risk import _reconstruction_errors, default_q_grid  # noqa: E402
+from gtsfit.risk import default_q_grid, optimize_q, reconstruction_error  # noqa: E402
 
 
 def main() -> int:
@@ -42,11 +42,10 @@ def main() -> int:
     best = []
     print(f"{'strike':>9} {'best q':>10} {'min error':>12} {'pos-q error':>12}")
     for k in strikes:
-        errs = _reconstruction_errors(k, qs)
-        i = int(np.argmin(errs))
-        pos = errs[qs > 0.0].min()
-        best.append(qs[i])
-        print(f"{k:>9.3f} {qs[i]:>10.5f} {errs[i]:>12.4e} {pos:>12.4e}")
+        q = optimize_q(params, k, qs)
+        pos = reconstruction_error(params, k, optimize_q(params, k, qs[qs > 0.0]))
+        best.append(q)
+        print(f"{k:>9.3f} {q:>10.5f} {reconstruction_error(params, k, q):>12.4e} {pos:>12.4e}")
     spread = max(best) - min(best)
     print(f"offset spread across strikes: {spread:.5f}")
     return 0

@@ -6,8 +6,11 @@ cubic that :func:`~gtsfit.spectral.cdf_at` evaluates; the sampler's quantile
 inverts it through a clamped central-difference quartic instead, on whole
 arrays of levels.  AVaR adds the expected shortfall beyond VaR, evaluated as
 a Fourier integral of the characteristic function along a contour shifted
-off the real axis by an offset ``q`` small enough to stay inside the
-tempering strip of the relevant tail.
+off the real axis by a fixed offset: 0.45 lambda of the relevant tail's
+tempering rate.  By Cauchy's theorem the integral does not depend on the
+offset anywhere inside the tempering strip (Lewis 2001), so no offset is
+searched for; the payoff-reconstruction error and its grid search
+:func:`optimize_q` remain as a diagnostic of the damped quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gts_model import GtsParams, char_exponent, cumulants
+from .gts_model import GtsParams, char_exponent
 from .spectral import DensityTable, cdf_at, newton_cotes_weights
 
 
@@ -337,59 +340,32 @@ def optimize_q(params: GtsParams, k: float, q_grid=None) -> float:
     return float(grid[int(np.argmin(errs))])
 
 
-_QCACHE: dict = {}
-
-
-def _cached_offset(params: GtsParams) -> float:
-    # One offset per parameter set, optimized at a fixed anchor strike two
-    # standard deviations below the mean; the optimum barely moves with k.
-    if params not in _QCACHE:
-        cum = cumulants(params, 2)
-        anchor = cum.kappa(1) - 2.0 * math.sqrt(cum.kappa(2))
-        _QCACHE[params] = optimize_q(params, anchor)
-    return _QCACHE[params]
-
-
-def _effective_offset(magnitude: float, lam: float) -> float:
-    # Keep the offset inside the tempering strip with margin; floor it so the
-    # pole-resolving step q/8 cannot drive the node count up needlessly.
-    return min(max(magnitude, 0.02), 0.45 * lam)
+# share of the tail's tempering rate lambda used as the contour offset: the
+# widest pole 1/z^2 (fewest quadrature nodes) with margin to the strip edge
+_OFFSET_SHARE = 0.45
 
 
 def avar(params: GtsParams, table: DensityTable, alpha: float, side: TailSide) -> RiskReport:
     """Average value at risk at tail probability ``alpha``.
 
     Lower tail: AVaR = VaR_alpha - E[(VaR - X)^+] / alpha, the mean of the
-    worst lower fraction.  Upper tail: the quantile level is the confidence
-    1 - alpha and AVaR = VaR + E[(X - VaR)^+] / alpha.  The contour offset
-    comes from :func:`optimize_q` (cached per parameter set), clamped into
-    the admissible strip of the relevant tail; ``q_used`` records it signed
-    by the contour side (negative for the lower tail).
+    worst lower fraction, with the put payoff on the contour at offset
+    0.45 lambda_minus.  Upper tail: the quantile level is the confidence
+    1 - alpha and AVaR = VaR + E[(X - VaR)^+] / alpha, with the call payoff
+    at offset 0.45 lambda_plus.  The payoff is the same for every offset in
+    the tail's strip (0, lambda); ``q_used`` records the offset signed by the
+    contour side (negative for the lower tail).
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"tail probability must lie in (0, 0.5), got {alpha}")
-    magnitude = abs(_cached_offset(params))
     if side is TailSide.LOWER_TAIL:
-        level = alpha
-        v = var(table, level)
-        q_eff = _effective_offset(magnitude, params.lambda_minus)
-        payoff = tail_payoff_fourier(params, v, q_eff, PayoffSide.PUT)
-        tail_mean = v - payoff / alpha
-        q_signed = -q_eff
+        level, lam, payoff_side, sign = alpha, params.lambda_minus, PayoffSide.PUT, -1.0
     else:
-        level = 1.0 - alpha
-        v = var(table, level)
-        q_eff = _effective_offset(magnitude, params.lambda_plus)
-        payoff = tail_payoff_fourier(params, v, q_eff, PayoffSide.CALL)
-        tail_mean = v + payoff / alpha
-        q_signed = q_eff
-    return RiskReport(
-        level=level,
-        side=side,
-        var=v,
-        avar=tail_mean,
-        q_used=q_signed,
-    )
+        level, lam, payoff_side, sign = 1.0 - alpha, params.lambda_plus, PayoffSide.CALL, 1.0
+    v = var(table, level)
+    q = _OFFSET_SHARE * lam
+    payoff = tail_payoff_fourier(params, v, q, payoff_side)
+    return RiskReport(level=level, side=side, var=v, avar=v + sign * payoff / alpha, q_used=sign * q)
 
 
 def prob_interval(table: DensityTable, lo: float, hi: float) -> float:

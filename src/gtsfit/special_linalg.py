@@ -1,9 +1,10 @@
 """Special functions and small symmetric-matrix routines.
 
 Self-contained gamma/digamma/trigamma evaluations plus the 7x7 symmetric
-solve/eigenvalue kernels used by the likelihood optimizer.  Everything here
-is plain double precision; accuracy targets are 1e-12 relative for the gamma
-function on |x| <= 30 and 1e-10 for the psi functions.
+solve/eigenvalue kernels used by the likelihood optimizer, which call
+LAPACK through numpy.  Everything here is plain double precision; accuracy
+targets are 1e-12 relative for the gamma function on |x| <= 30 and 1e-10
+for the psi functions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ class PoleError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """Pivot collapsed during factorization."""
+    """Matrix is numerically rank deficient."""
 
 
 class ConvergenceError(RuntimeError):
@@ -155,92 +156,32 @@ def _as_matrix(a) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _ldl_factor(a: np.ndarray):
-    # Outer-product elimination with symmetric (diagonal) pivoting; the
-    # trailing block stays symmetric because pivots are taken on the diagonal.
-    n = a.shape[0]
-    m = a.copy()
-    perm = np.arange(n)
-    thresh = 1e-14 * np.abs(a).max()
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(np.diag(m)[k:])))
-        if j != k:
-            m[[k, j], :] = m[[j, k], :]
-            m[:, [k, j]] = m[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        piv = m[k, k]
-        if abs(piv) < thresh:
-            raise SingularMatrixError(f"pivot {piv:.3e} below 1e-14 * max|A|")
-        mult = m[k + 1 :, k] / piv
-        m[k + 1 :, k + 1 :] -= np.outer(mult, m[k, k + 1 :])
-        m[k + 1 :, k] = mult
-    return m, perm
-
-
-def _ldl_apply(m: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    y = b[perm].astype(float)
-    for k in range(n):
-        y[k + 1 :] -= m[k + 1 :, k] * y[k]
-    y /= np.diag(m)
-    for k in range(n - 1, -1, -1):
-        y[k] -= m[k + 1 :, k] @ y[k + 1 :]
-    out = np.empty(n)
-    out[perm] = y
-    return out
-
-
 def solve_sym(a, b) -> np.ndarray:
     """Solve A x = b for symmetric 7x7 A.
 
-    LDL^T with symmetric pivoting followed by one iterative-refinement pass;
-    raises :class:`SingularMatrixError` when a pivot falls below
-    1e-14 * max|A|.
+    LAPACK LU solve after a rank check; raises :class:`SingularMatrixError`
+    when the numerical rank of A (singular values above 7 eps times the
+    largest) is below 7, or when LAPACK fails on A.
     """
     mat = _as_matrix(a)
     rhs = np.asarray(b, dtype=float)
     if rhs.shape != (7,):
         raise ValueError(f"expected rhs shape (7,), got {rhs.shape}")
-    fac, perm = _ldl_factor(mat)
-    x = _ldl_apply(fac, perm, rhs)
-    resid = rhs - mat @ x
-    x = x + _ldl_apply(fac, perm, resid)
-    return x
+    try:
+        rank = np.linalg.matrix_rank(mat)
+        if rank == 7:
+            return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LAPACK failed on A: {exc}") from exc
+    raise SingularMatrixError(f"numerical rank {rank} below 7")
 
 
-def eigen_sym(a, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of symmetric 7x7 A by cyclic Jacobi, descending order.
+def eigen_sym(a) -> np.ndarray:
+    """Eigenvalues of symmetric 7x7 A by LAPACK, descending order.
 
-    Sweeps until every off-diagonal entry is below 1e-12 * ||A||_F; raises
-    :class:`ConvergenceError` if that takes more than ``max_sweeps`` sweeps.
+    Raises :class:`ConvergenceError` when LAPACK's eigenvalue iteration fails.
     """
-    m = _as_matrix(a).copy()
-    n = m.shape[0]
-    norm = float(np.linalg.norm(m))
-    if norm == 0.0:
-        return np.zeros(n)
-    tol = 1e-12 * norm
-    for _ in range(max_sweeps):
-        off = np.abs(m - np.diag(np.diag(m))).max()
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-30 * norm:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                cp = m[:, p].copy()
-                cq = m[:, q].copy()
-                m[:, p] = c * cp - s * cq
-                m[:, q] = s * cp + c * cq
-    else:
-        raise ConvergenceError(f"jacobi sweeps exhausted ({max_sweeps})")
-    return np.sort(np.diag(m))[::-1]
+    try:
+        return np.linalg.eigvalsh(_as_matrix(a))[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigenvalue iteration failed: {exc}") from exc

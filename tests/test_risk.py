@@ -1,6 +1,9 @@
 """Quantile inversion, tail expectations, contour offset selection."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from gtsfit.risk import (
     var,
     write_risk_csv,
 )
+from gtsfit.gts_model import save_params
 from gtsfit.spectral import cdf_at
 
 
@@ -334,6 +338,22 @@ def test_optimize_q_band(sp_params):
     assert 1e-5 <= er <= 1e-3
 
 
+def test_contour_error_scan_script(tmp_path, sp_params):
+    path = tmp_path / "sp.json"
+    save_params(sp_params, path)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "contour_error_scan.py"
+    res = subprocess.run(
+        [sys.executable, str(script), str(path), "--strikes", "-2.15"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    strike, best_q = res.stdout.splitlines()[1].split()[:2]
+    assert float(strike) == -2.15
+    assert best_q == f"{optimize_q(sp_params, -2.15):.5f}"
+
+
 # -- average value at risk ----------------------------------------------------
 
 LEVELS = (0.01, 0.05, 0.10)
@@ -362,6 +382,22 @@ def test_avar_matches_quantile_average(sp_params, sp_table):
         vals = [var(sp_table, math.exp(u)) * math.exp(u) for u in us]
         ref = np.trapezoid(vals, us) / a
         assert rep.avar == pytest.approx(ref, abs=2e-3)
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_avar_offset_invariance(key, sp_params, btc_params, sp_table, btc_table):
+    # avar's contour runs at 0.45 lambda of its tail; the payoff does not
+    # depend on the offset inside the strip, so 0.1 lambda gives the same AVaR
+    params, table = (sp_params, sp_table) if key == "sp" else (btc_params, btc_table)
+    for a in (0.005, 0.05, 0.10):
+        low = avar(params, table, a, TailSide.LOWER_TAIL)
+        put = tail_payoff_fourier(params, low.var, 0.1 * params.lambda_minus, PayoffSide.PUT)
+        assert low.avar == pytest.approx(low.var - put / a, rel=0.0, abs=1e-9)
+        assert low.q_used == -0.45 * params.lambda_minus
+        up = avar(params, table, a, TailSide.UPPER_TAIL)
+        call = tail_payoff_fourier(params, up.var, 0.1 * params.lambda_plus, PayoffSide.CALL)
+        assert up.avar == pytest.approx(up.var + call / a, rel=0.0, abs=1e-9)
+        assert up.q_used == 0.45 * params.lambda_plus
 
 
 def test_avar_rejects_bad_alpha(sp_params, sp_table):
