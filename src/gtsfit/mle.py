@@ -1,12 +1,20 @@
 """Maximum likelihood fitting through the spectral density tables.
 
-The log likelihood, its score and its observed Hessian are all read off a
-single batch of inverse-transform tables: the density row, the 7 parameter
-gradient rows and the 28 second-derivative rows, interpolated at the data
-points with a 4-point cubic stencil.  With f_i the density at observation i,
+The log likelihood and its score are read off one batch of inverse-transform
+tables, the density row and the 7 parameter gradient rows, interpolated at
+the data points with a 4-point cubic stencil.  With f_i the density at
+observation i,
 
     score_j   = sum_i  df_j(x_i) / f_i
     hessian_kj = sum_i [ d2f_kj(x_i) / f_i - df_k(x_i) df_j(x_i) / f_i^2 ]
+
+The second-derivative sum is linear in the characteristic-function row
+r_kj = F (g_k g_j + h_kj) that the inversion and the stencil map to
+d2f_kj(x_i).  So it equals Re sum_q r_kj(xi_q) d_q, where d is the transpose
+of that map applied to 1/f: the stencil weights scattered onto the output
+nodes, then one pull-back transform to the xi >= 0 nodes.  The 28
+second-derivative rows are never built or inverted; the Hessian is one
+contraction of F d with the analytic derivatives g and h of the exponent.
 
 The optimizer is a damped Newton ascent run in two phases.  While the score
 is large the curvature metric is the score outer product (the expected
@@ -32,10 +40,10 @@ from typing import Optional
 
 import numpy as np
 
-from .gts_model import BOUND_EPS, GtsParams, cumulants
+from .gts_model import BOUND_EPS, GtsParams, _psi_grad, _psi_hess, char_fn
 from .risk import _quantile_clamped
 from .special_linalg import SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
-from .spectral import FourierGrid, SpanError, choose_grid, density_table, spectral_tables
+from .spectral import FourierGrid, SpanError, _pull_back, choose_grid, density_table, spectral_tables
 
 _DENSITY_FLOOR = 1e-300
 _FREEZE_GNORM = 1e-2
@@ -110,8 +118,9 @@ def write_trace_csv(trace: FitTrace, path) -> None:
             fh.write(str(r.iteration) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n")
 
 
-def _interp4(x: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    # cubic Lagrange on the 4 nodes around each point; stencil kept interior
+def _stencil(x: np.ndarray, pts: np.ndarray):
+    # cubic Lagrange on the 4 nodes idx-1..idx+2 around each point; stencil
+    # kept interior
     gamma = x[1] - x[0]
     idx = np.clip(((pts - x[0]) / gamma).astype(int), 1, x.size - 3)
     t = (pts - x[idx]) / gamma
@@ -119,7 +128,18 @@ def _interp4(x: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
     w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
     w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
     w3 = (t + 1.0) * t * (t - 1.0) / 6.0
+    return idx, (w0, w1, w2, w3)
+
+
+def _interp4(x: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    idx, (w0, w1, w2, w3) = _stencil(x, pts)
     return w0 * rows[..., idx - 1] + w1 * rows[..., idx] + w2 * rows[..., idx + 1] + w3 * rows[..., idx + 2]
+
+
+def _scatter4(x: np.ndarray, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    # transpose of _interp4 for one row: c with c @ row == vals @ _interp4(x, row, pts)
+    idx, weights = _stencil(x, pts)
+    return sum(np.bincount(idx + o, w * vals, x.size) for o, w in zip((-1, 0, 1, 2), weights))
 
 
 def _grid_for(params: GtsParams, data: np.ndarray, grid_m: int, refine: int = 1) -> FourierGrid:
@@ -148,7 +168,7 @@ def _objective(
 ):
     if grid is None:
         grid = _grid_for(params, data, grid_m)
-    x, rows = spectral_tables(params, grid, order)
+    x, rows = spectral_tables(params, grid, min(order, 1))
     vals = _interp4(x, rows, data)
     f = np.maximum(vals[0], _DENSITY_FLOOR)
     ll = float(np.sum(np.log(f)))
@@ -159,14 +179,13 @@ def _objective(
     if order == 1:
         # score outer product: the search-phase curvature surrogate
         return ll, score, -(u @ u.T), grid
-    hess = np.zeros((7, 7))
-    r = 8
-    for k in range(7):
-        for j in range(k, 7):
-            hkj = float(np.sum(vals[r] / f)) - float(np.dot(u[k], u[j]))
-            hess[k, j] = hess[j, k] = hkj
-            r += 1
-    return ll, score, hess, grid
+    # adjoint Hessian (module docstring): Re sum_q F (g_k g_j + h_kj) d_q, xi >= 0
+    d = _pull_back(_scatter4(x, data, 1.0 / f), grid)
+    xi = np.arange(grid.m // 2 + 1) * grid.beta_step
+    fd = char_fn(params, xi) * d
+    g = _psi_grad(params, -xi)
+    curv = (g * fd) @ g.T + np.einsum("kjq,q->kj", _psi_hess(params, -xi), fd)
+    return ll, score, curv.real - u @ u.T, grid
 
 
 def loglik(returns, params: GtsParams, grid_m: int = 8192) -> float:
@@ -246,7 +265,7 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
 
     def evaluate(vec: np.ndarray, grid: Optional[FourierGrid], order: int = 2):
         # search phase runs on the gradient rows only; the frozen endgame
-        # pays for the full second-derivative batch
+        # adds the adjoint observed Hessian
         if order == 2 and grid is None:
             order = 1
         return _objective(GtsParams.from_vector(vec), data, opts.grid_m, order, grid)

@@ -13,6 +13,9 @@ frequency samples; as every row is Hermitian (F(-xi) = conj F(xi), for the
 derivative rows too) one fractional FFT per row, padded to a 5-smooth length,
 takes the m/2+1 samples with xi >= 0 and the result is twice its real part.
 A direct evaluation of the composite sum is the cross-check in the tests.
+The exact transpose of that map, the pull-back, takes weights on the output
+points back to the xi >= 0 samples in one more fractional FFT; the fitter's
+observed Hessian uses it instead of inverting second-derivative rows.
 
 Grid selection sizes the output window from the slower tempering rate,
 doubles the frequency span until the characteristic function tail is
@@ -277,6 +280,18 @@ def _char_rows(params: GtsParams, grid: FourierGrid, order: int):
     return np.array(rows)
 
 
+def _half_weights(grid: FourierGrid):
+    # Composite weights W_q on xi_q = q beta_step, q = 0..m/2 (xi = 0 at half
+    # weight), and the factor 2 beta_step/(2 pi) W_q exp(i center xi_q) that
+    # folds them, the scale and the window centre into a half-spectrum sample
+    m, h = grid.m, grid.m // 2
+    w = newton_cotes_weights()
+    wq = np.tile(np.concatenate(([2.0 * w[0]], w[1:12])), grid.n + 1)[h : m + 1]
+    wq[0], wq[-1] = 0.5 * wq[0], w[12]
+    scale = grid.beta_step / (2.0 * math.pi)
+    return wq, 2.0 * scale * wq * np.exp(1j * grid.center * grid.beta_step * np.arange(h + 1))
+
+
 def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
     """Inverse transform of char-function sample rows, one fractional FFT each.
 
@@ -289,11 +304,8 @@ def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
     8 rows and below 1e-6 (1 + max|f|) on second-order rows.
     """
     m, h = grid.m, grid.m // 2
-    w = newton_cotes_weights()
-    wq = np.tile(np.concatenate(([2.0 * w[0]], w[1:12])), grid.n + 1)[h : m + 1]
-    wq[0], wq[-1] = 0.5 * wq[0], w[12]
     scale = grid.beta_step / (2.0 * math.pi)
-    phase = 2.0 * scale * wq * np.exp(1j * grid.center * grid.beta_step * np.arange(h + 1))
+    wq, phase = _half_weights(grid)
     transform = _bluestein(h + 1, m + 1, -grid.delta, grid.s - h)
     out = np.empty((rows.shape[0], m + 1))
     for b in range(0, rows.shape[0], _ROW_BATCH):
@@ -306,6 +318,23 @@ def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
             if bound > limit:
                 raise GridError(f"imaginary residue {bound:.3e} in row {i} exceeds {limit:.3e}")
     return out
+
+
+def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
+    """Transpose of :func:`_invert_rows` on the xi >= 0 half.
+
+    For real ``c`` on the m+1 output points, returns the complex ``d`` on
+    xi_q = q beta_step, q = 0..m/2, with
+    sum_k c_k _invert_rows(rows, grid)[r, k] = Re sum_q rows[r, m/2 + q] d_q
+    for every row.  One fractional FFT of ``c`` gives
+    sum_k c_k exp(2 pi i q k delta); the output shift s - m/2 enters as the
+    phase exp(2 pi i q (s - m/2) delta), reduced modulo 1 in long double.
+    """
+    m, h = grid.m, grid.m // 2
+    ld = np.longdouble
+    turns = (ld(grid.delta) * np.arange(h + 1, dtype=ld) * (ld(grid.s) - h)) % 1
+    shift = np.exp(2j * np.pi * turns.astype(float))
+    return _half_weights(grid)[1] * shift * _bluestein(m + 1, h + 1, -grid.delta, 0.0)(c)
 
 
 def _output_points(grid: FourierGrid) -> np.ndarray:
@@ -335,7 +364,9 @@ def spectral_tables(params: GtsParams, grid: FourierGrid, order: int = 0):
 
     Returns ``(x, rows)`` where ``x`` has m+1 points and ``rows`` holds the
     density (order 0), plus its 7 parameter-gradient rows (order 1), plus
-    the 28 upper-triangle second-derivative rows (order 2).
+    the 28 upper-triangle second-derivative rows (order 2).  The fitter asks
+    for orders 0 and 1 only and gets its Hessian through :func:`_pull_back`;
+    order 2 is the direct path that the tests check that Hessian against.
     """
     rows = _char_rows(params, grid, order)
     vals = _invert_rows(rows, grid)

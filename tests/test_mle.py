@@ -5,12 +5,15 @@ import pytest
 
 from gtsfit.gts_model import GtsParams, char_exponent, cumulants
 from gtsfit.mle import (
+    _DENSITY_FLOOR,
     _SAMPLE_BLOCK,
     FitOptions,
     FitStatus,
     FitTrace,
     TraceRow,
+    _grid_for,
     _interp4,
+    _objective,
     default_init,
     fit,
     loglik,
@@ -20,7 +23,7 @@ from gtsfit.mle import (
     write_trace_csv,
 )
 from gtsfit.risk import _quantile_clamped
-from gtsfit.spectral import choose_grid, density_table
+from gtsfit.spectral import choose_grid, density_table, spectral_tables
 
 from conftest import BTC_PARAMS
 
@@ -95,6 +98,47 @@ def test_hessian_matches_finite_difference(small_sample):
         ) / (2.0 * eps)
     fd = 0.5 * (fd + fd.T)
     assert np.linalg.norm(h - fd) / (1.0 + np.linalg.norm(fd)) < 1e-5
+
+
+def _direct_objective(data, params, order):
+    # the formula the adjoint Hessian replaced: invert every row of
+    # spectral_tables(order), interpolate at the data, sum the ratios
+    grid = _grid_for(params, data, 8192)
+    x, rows = spectral_tables(params, grid, order)
+    vals = _interp4(x, rows, data)
+    f = np.maximum(vals[0], _DENSITY_FLOOR)
+    ll = float(np.sum(np.log(f)))
+    if order == 0:
+        return ll, None, None
+    u = vals[1:8] / f
+    hess = np.zeros((7, 7))
+    if order == 2:
+        r = 8
+        for k in range(7):
+            for j in range(k, 7):
+                hess[k, j] = hess[j, k] = float(np.sum(vals[r] / f)) - float(np.dot(u[k], u[j]))
+                r += 1
+    return ll, u.sum(axis=1), hess
+
+
+@pytest.fixture(scope="module")
+def btc_sample():
+    # the first 400 draws of test_08's BTC sample
+    return sample_inverse_cdf(BTC_PARAMS, 400, seed=71)
+
+
+@pytest.mark.parametrize("asset", ["sp", "btc"])
+def test_adjoint_hessian_matches_direct_rows(asset, small_sample, btc_sample):
+    params, data = (SP, small_sample) if asset == "sp" else (BTC_PARAMS, btc_sample)
+    _, _, want = _direct_objective(data, params, 2)
+    got = observed_hessian(data, params).entries
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert loglik(data, params) == _direct_objective(data, params, 0)[0]
+    ll1, score1, _ = _direct_objective(data, params, 1)
+    assert np.array_equal(score(data, params), score1)
+    # the order-2 objective reads log L and the score off the same rows
+    ll2, score2, _, _ = _objective(params, data, 8192, 2)
+    assert ll2 == ll1 and np.array_equal(score2, score1)
 
 
 def test_default_init_valid(small_sample):

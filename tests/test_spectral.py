@@ -1,5 +1,6 @@
 """Transform engine: quadrature weights, fractional DFT, density inversion."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from gtsfit.spectral import (
     _nc_exact,
     _output_points,
     _partial_panel_weights,
+    _pull_back,
     cdf_at,
     choose_grid,
     density_table,
@@ -223,6 +225,22 @@ def test_derivative_rows_match_direct_sum(order):
     want = (grid.beta_step / (2.0 * math.pi) * ((w * rows) @ phase)).real
     assert got.shape == want.shape == (8 if order == 1 else 36, grid.m + 1)
     assert np.max(np.abs(got - want)) < 1e-11
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_pull_back_is_adjoint_of_inversion(s):
+    # sum_k c_k f_r(x_k) == Re sum_q rows[r, m/2+q] d_q for every row, d the
+    # pull-back of c; s = 0.3 exercises the output phase
+    grid = dataclasses.replace(_small_grid(SP), s=s)
+    rows = _char_rows(SP, grid, 2)
+    assert rows.shape[0] == 36
+    out = _invert_rows(rows, grid)
+    c = np.random.default_rng(7).standard_normal(grid.m + 1)
+    d = _pull_back(c, grid)
+    assert d.shape == (grid.m // 2 + 1,)
+    lhs = out @ c
+    rhs = (rows[:, grid.m // 2 :] @ d).real
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
 
 
 def test_non_hermitian_leading_row_rejected():
