@@ -16,24 +16,23 @@ nodes, then one pull-back transform to the xi >= 0 nodes.  The 28
 second-derivative rows are never built or inverted; the Hessian is one
 contraction of F d with the analytic derivatives g and h of the exponent.
 
-The optimizer is a damped Newton ascent run in two phases.  While the score
-is large the curvature metric is the score outer product (the expected
-information estimate), which needs only the density and gradient rows and
-keeps each iteration cheap even when an intermediate iterate forces a very
-large transform grid.  Once the score norm falls below 1e-2 the transform
-grid is frozen at a 2-fold refined resolution and the exact observed
-Hessian takes over, so the convergence certificate (score norm and largest
-eigenvalue) always comes from the true second derivatives on a fixed
-quadrature.  In both phases the metric is shifted past its largest
-eigenvalue when it is not safely negative definite, steps are capped
-relative to the parameter scale, and trial points must strictly increase
-the log likelihood inside the open parameter box; line-search probes
-evaluate only the likelihood row.
+The optimizer is one damped Newton ascent on the exact observed Hessian.
+The transform grid is chosen once at the starting point and is replaced only
+when the grid chosen at an accepted point has more nodes; the accepted point
+is then evaluated again on the new grid, so the log likelihood comparison
+restarts there.  The Hessian is shifted past its largest eigenvalue when it
+is not safely negative definite, steps are capped relative to the parameter
+scale, and a trial point is accepted when it stays inside the open parameter
+box and does not lower the log likelihood beyond rounding (1e-11 relative);
+line-search probes evaluate only the likelihood row on the current grid.
+The convergence certificate (score norm and largest eigenvalue) therefore
+always comes from the true second derivatives.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,8 +45,6 @@ from .special_linalg import SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn
 from .spectral import FourierGrid, SpanError, _pull_back, choose_grid, density_table, spectral_tables
 
 _DENSITY_FLOOR = 1e-300
-_FREEZE_GNORM = 1e-2
-_FREEZE_REFINE = 2
 _COVERAGE = 40.0
 _SAMPLE_BLOCK = 8192  # levels per quantile call in sample_inverse_cdf
 
@@ -142,13 +139,13 @@ def _scatter4(x: np.ndarray, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return sum(np.bincount(idx + o, w * vals, x.size) for o, w in zip((-1, 0, 1, 2), weights))
 
 
-def _grid_for(params: GtsParams, data: np.ndarray, grid_m: int, refine: int = 1) -> FourierGrid:
+def _grid_for(params: GtsParams, data: np.ndarray, grid_m: int) -> FourierGrid:
     # One automatic coverage enlargement when the sample leaves the window.
-    grid = choose_grid(params, grid_m, _COVERAGE, refine)
+    grid = choose_grid(params, grid_m, _COVERAGE)
     lo = grid.center - grid.m / 2.0 * grid.gamma_step
     hi = grid.center + grid.m / 2.0 * grid.gamma_step
     if data.min() < lo or data.max() > hi:
-        grid = choose_grid(params, grid_m, 2.0 * _COVERAGE, refine)
+        grid = choose_grid(params, grid_m, 2.0 * _COVERAGE)
         lo = grid.center - grid.m / 2.0 * grid.gamma_step
         hi = grid.center + grid.m / 2.0 * grid.gamma_step
         if data.min() < lo or data.max() > hi:
@@ -177,8 +174,7 @@ def _objective(
     u = vals[1:8] / f
     score = u.sum(axis=1)
     if order == 1:
-        # score outer product: the search-phase curvature surrogate
-        return ll, score, -(u @ u.T), grid
+        return ll, score, None, grid
     # adjoint Hessian (module docstring): Re sum_q F (g_k g_j + h_kj) d_q, xi >= 0
     d = _pull_back(_scatter4(x, data, 1.0 / f), grid)
     xi = np.arange(grid.m // 2 + 1) * grid.beta_step
@@ -247,9 +243,10 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
 
     Returns ``(params, trace, status)``; status is ``CONVERGED`` when the
     score norm is at most ``grad_tol`` with a negative semidefinite Hessian,
-    ``MAX_ITER`` otherwise.  Accepted steps never decrease the log
-    likelihood beyond rounding: the search phase requires a strict increase,
-    the frozen endgame tolerates ties at the 1e-11 relative level.
+    ``MAX_ITER`` when the iteration cap is reached or no trial point along
+    the Newton or steepest-ascent direction is acceptable.  Accepted steps
+    never decrease the log likelihood by more than 1e-11 relative, the
+    rounding level at which the true gain near the optimum is lost.
     """
     opts = options or FitOptions()
     data = np.asarray(returns, dtype=float)
@@ -260,26 +257,18 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
 
     trace = FitTrace()
     v = params.to_vector()
-    frozen: Optional[FourierGrid] = None
+    grid = _grid_for(params, data, opts.grid_m)
     damping_used = 0
 
-    def evaluate(vec: np.ndarray, grid: Optional[FourierGrid], order: int = 2):
-        # search phase runs on the gradient rows only; the frozen endgame
-        # adds the adjoint observed Hessian
-        if order == 2 and grid is None:
-            order = 1
-        return _objective(GtsParams.from_vector(vec), data, opts.grid_m, order, grid)
+    def evaluate(vec: np.ndarray, order: int = 2):
+        return _objective(GtsParams.from_vector(vec), data, opts.grid_m, order, grid)[:3]
 
-    ll, g, hess, _ = evaluate(v, frozen)
+    ll, g, hess = evaluate(v)
     status = FitStatus.MAX_ITER
     for it in range(1, opts.max_iter + 1):
-        gnorm = float(np.linalg.norm(g))
-        if frozen is None and gnorm <= _FREEZE_GNORM:
-            frozen = _grid_for(GtsParams.from_vector(v), data, opts.grid_m, _FREEZE_REFINE)
-            ll, g, hess, _ = evaluate(v, frozen)
-            gnorm = float(np.linalg.norm(g))
         if not math.isfinite(ll):
             raise NonFiniteLikelihoodError(f"log likelihood {ll} at iteration {it}", trace)
+        gnorm = float(np.linalg.norm(g))
         eigs = eigen_sym(hess)
         emax = float(eigs[0])
         trace.append(
@@ -312,37 +301,27 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
             over = float((np.abs(direction) / cap).max())
             return direction / over if over > 1.0 else direction
 
-        accepted = False
-        # steepest ascent is the fallback when the quasi-Newton direction
-        # cannot produce an uphill point at any damping level
-        for cand in (capped(step), capped(-g)):
-            for d in range(opts.step_damping + 1):
-                vn = v - cand * 0.5**d
-                if not _in_bounds(vn):
-                    continue
-                try:
-                    lln, _, _, _ = evaluate(vn, frozen, order=0)
-                except SpanError:
-                    continue
-                # near the optimum the true gain underflows the comparison,
-                # so the frozen endgame tolerates ties within rounding
-                floor = ll - 1e-11 * (1.0 + abs(ll)) if frozen is not None else ll
-                if math.isfinite(lln) and lln > floor:
-                    ll, g, hess, _ = evaluate(vn, frozen)
-                    v = vn
-                    damping_used = d
-                    accepted = True
-                    break
-            if accepted:
-                break
-        if not accepted:
-            if frozen is None:
-                # the cheap search surface has run out of resolution;
-                # switch to the refined grid and exact curvature
-                frozen = _grid_for(GtsParams.from_vector(v), data, opts.grid_m, _FREEZE_REFINE)
-                ll, g, hess, _ = evaluate(v, frozen)
+        # near the optimum the true gain underflows the comparison, so ties
+        # within rounding are accepted; steepest ascent is the fallback when
+        # the Newton direction finds no acceptable point at any damping level
+        floor = ll - 1e-11 * (1.0 + abs(ll))
+        for cand, d in itertools.product((capped(step), capped(-g)), range(opts.step_damping + 1)):
+            vn = v - cand * 0.5**d
+            if not _in_bounds(vn):
                 continue
+            try:
+                lln = evaluate(vn, order=0)[0]
+            except SpanError:
+                continue
+            if math.isfinite(lln) and lln > floor:
+                break
+        else:
             break
+        v, damping_used = vn, d
+        wider = _grid_for(GtsParams.from_vector(v), data, opts.grid_m)
+        if wider.m > grid.m:
+            grid = wider
+        ll, g, hess = evaluate(v)
 
     return GtsParams.from_vector(v), trace, status
 

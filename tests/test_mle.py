@@ -23,6 +23,7 @@ from gtsfit.mle import (
     write_trace_csv,
 )
 from gtsfit.risk import _quantile_clamped
+from gtsfit.special_linalg import eigen_sym
 from gtsfit.spectral import choose_grid, density_table, spectral_tables
 
 from conftest import BTC_PARAMS
@@ -225,6 +226,22 @@ def test_fit_from_truth_converges():
     lls = [r.log_ml for r in trace.rows]
     assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
     params.validate()
+
+
+def test_fit_rows_carry_exact_hessian(small_sample):
+    # every trace row's certificate is the exact observed Hessian at that
+    # point, not a curvature surrogate
+    _, trace, status = fit(small_sample, init=SP, options=FitOptions(max_iter=1))
+    assert len(trace) == 1 and status is FitStatus.MAX_ITER
+    assert trace.rows[0].max_eigenvalue == eigen_sym(observed_hessian(small_sample, SP))[0]
+
+
+def test_fit_trace_monotone(small_sample):
+    _, trace, _ = fit(small_sample, init=SP, options=FitOptions(max_iter=4))
+    lls = [r.log_ml for r in trace.rows]
+    assert all(b >= a - 1e-11 * (1.0 + abs(a)) for a, b in zip(lls, lls[1:]))
+    for r in trace.rows:
+        r.params.validate()
 
 
 def test_fit_rejects_bad_init(small_sample):
