@@ -87,8 +87,8 @@ class RunConfig:
             raise ConfigError(f"grid_m must be a positive multiple of 12, got {self.grid_m}")
         if self.levels is not None:
             for lv in self.levels:
-                if not 0.0 < lv < 1.0:
-                    raise ConfigError(f"risk level {lv} outside (0, 1)")
+                if not 0.0 < lv < 0.5:
+                    raise ConfigError(f"risk level {lv} outside (0, 0.5): levels are tail probabilities")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.synth_n < 1:

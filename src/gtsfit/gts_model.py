@@ -11,6 +11,12 @@ characteristic exponent
 
 uses the principal branch of the complex power; the characteristic function
 follows as F(xi) = exp(Psi(-xi)).  All quantities are in percent units.
+
+The complex logs and powers of the two power arguments are the costly part
+of every evaluation.  :func:`_char_terms` computes them once and derives F
+and the first and second parameter derivatives of Psi from them, so the
+inversion rows and the fitter's Hessian contraction pay for one pass per
+call.  Nothing is cached in this module.
 """
 
 from __future__ import annotations
@@ -186,16 +192,21 @@ def _side_parts(params: GtsParams, xi, with_psi: bool = False):
         sides[key] = parts
     return sides
 
-def char_exponent(params: GtsParams, xi):
-    """Characteristic exponent Psi(xi); complex xi allowed on the strip
-    where both power arguments keep a positive real part."""
-    s = _side_parts(params, xi)
+
+def _exponent(params: GtsParams, xi, s):
+    # Psi(xi) from the side parts s = _side_parts(params, xi)
     p, m = s["p"], s["m"]
-    val = (
+    return (
         1j * params.mu * np.asarray(xi)
         + p["a"] * p["g"] * (p["P"] - p["Pl"])
         + m["a"] * m["g"] * (m["P"] - m["Pl"])
     )
+
+
+def char_exponent(params: GtsParams, xi):
+    """Characteristic exponent Psi(xi); complex xi allowed on the strip
+    where both power arguments keep a positive real part."""
+    val = _exponent(params, xi, _side_parts(params, xi))
     return val if np.ndim(xi) else complex(val)
 
 
@@ -205,9 +216,9 @@ def char_fn(params: GtsParams, xi):
     return val if np.ndim(xi) else complex(val)
 
 
-def _psi_grad(params: GtsParams, xi) -> np.ndarray:
-    """Gradient of Psi w.r.t. the parameter vector, shape (7,) + xi.shape."""
-    s = _side_parts(params, xi, with_psi=True)
+def _psi_grad(xi, s) -> np.ndarray:
+    """Gradient of Psi w.r.t. the parameter vector, shape (7,) + xi.shape,
+    from the side parts ``s = _side_parts(params, xi, with_psi=True)``."""
     xi = np.asarray(xi)
     out = np.zeros((7,) + xi.shape, dtype=complex)
     out[0] = 1j * xi
@@ -225,13 +236,13 @@ def _psi_grad(params: GtsParams, xi) -> np.ndarray:
     return out
 
 
-def _psi_hess(params: GtsParams, xi) -> np.ndarray:
-    """Hessian of Psi w.r.t. the parameter vector, shape (7, 7) + xi.shape.
+def _psi_hess(xi, s) -> np.ndarray:
+    """Hessian of Psi w.r.t. the parameter vector, shape (7, 7) + xi.shape,
+    from the side parts as for :func:`_psi_grad`.
 
     The mu row is identically zero and the two jump sides never mix, so only
     the per-side (alpha, lambda, beta) blocks are populated.
     """
-    s = _side_parts(params, xi, with_psi=True)
     xi = np.asarray(xi)
     out = np.zeros((7, 7) + xi.shape, dtype=complex)
     for idx_b, idx_a, idx_l, key in ((1, 3, 5, "p"), (2, 4, 6, "m")):
@@ -264,11 +275,24 @@ def _psi_hess(params: GtsParams, xi) -> np.ndarray:
     return out
 
 
+def _char_terms(params: GtsParams, xi, order: int):
+    """F(xi) with dPsi (order >= 1) and d2Psi (order 2) at -xi, else None.
+
+    All three come from one :func:`_side_parts` evaluation at -xi; F equals
+    ``char_fn(params, xi)`` bit for bit.
+    """
+    nxi = -np.asarray(xi)
+    s = _side_parts(params, nxi, with_psi=order >= 1)
+    f = np.exp(_exponent(params, nxi, s))
+    g = _psi_grad(nxi, s) if order >= 1 else None
+    h = _psi_hess(nxi, s) if order >= 2 else None
+    return f, g, h
+
+
 def char_fn_grad(params: GtsParams, xi) -> np.ndarray:
     """Parameter gradient of the characteristic function, shape (7,) + xi.shape."""
-    xi = np.asarray(xi)
-    f = np.exp(char_exponent(params, -xi))
-    return f * _psi_grad(params, -xi)
+    f, g, _ = _char_terms(params, xi, 1)
+    return f * g
 
 
 def char_fn_hess(params: GtsParams, xi) -> np.ndarray:
@@ -276,10 +300,7 @@ def char_fn_hess(params: GtsParams, xi) -> np.ndarray:
 
     Product structure: d2F = F (dPsi_k dPsi_j + d2Psi_kj), evaluated at -xi.
     """
-    xi = np.asarray(xi)
-    f = np.exp(char_exponent(params, -xi))
-    gp = _psi_grad(params, -xi)
-    hp = _psi_hess(params, -xi)
+    f, gp, hp = _char_terms(params, xi, 2)
     return f * (gp[:, None] * gp[None, :] + hp)
 
 

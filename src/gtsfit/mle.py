@@ -14,7 +14,8 @@ d2f_kj(x_i).  So it equals Re sum_q r_kj(xi_q) d_q, where d is the transpose
 of that map applied to 1/f: the stencil weights scattered onto the output
 nodes, then one pull-back transform to the xi >= 0 nodes.  The 28
 second-derivative rows are never built or inverted; the Hessian is one
-contraction of F d with the analytic derivatives g and h of the exponent.
+contraction of F d with the analytic derivatives g and h of the exponent,
+all three from one evaluation of the exponent's power terms.
 
 The optimizer is one damped Newton ascent on the exact observed Hessian.
 The transform grid is chosen once at the starting point and is replaced only
@@ -39,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gts_model import BOUND_EPS, GtsParams, _psi_grad, _psi_hess, char_fn
+from .gts_model import BOUND_EPS, GtsParams, _char_terms
 from .risk import _quantile_clamped
 from .special_linalg import SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
 from .spectral import FourierGrid, SpanError, _pull_back, choose_grid, density_table, spectral_tables
@@ -178,9 +179,9 @@ def _objective(
     # adjoint Hessian (module docstring): Re sum_q F (g_k g_j + h_kj) d_q, xi >= 0
     d = _pull_back(_scatter4(x, data, 1.0 / f), grid)
     xi = np.arange(grid.m // 2 + 1) * grid.beta_step
-    fd = char_fn(params, xi) * d
-    g = _psi_grad(params, -xi)
-    curv = (g * fd) @ g.T + np.einsum("kjq,q->kj", _psi_hess(params, -xi), fd)
+    f, g, h = _char_terms(params, xi, 2)
+    fd = f * d
+    curv = (g * fd) @ g.T + np.einsum("kjq,q->kj", h, fd)
     return ll, score, curv.real - u @ u.T, grid
 
 

@@ -11,6 +11,13 @@ tempering rate.  By Cauchy's theorem the integral does not depend on the
 offset anywhere inside the tempering strip (Lewis 2001), so no offset is
 searched for; the payoff-reconstruction error and its grid search
 :func:`optimize_q` remain as a diagnostic of the damped quadrature.
+
+With the offset fixed, the strikes of one tail land on the same contour
+nodes, so Psi(-z) on a contour is cached: ``_contour`` returns the nodes,
+Psi(-z) and the composite weights, keyed on ``(params, signed offset,
+radius, node count)``, at most 4 contours (both tails of two parameter
+sets), as read-only arrays.  Each strike applies only its own e^{izk}/z^2;
+an AVaR ladder evaluates Psi(-z) once per tail.
 """
 
 from __future__ import annotations
@@ -18,12 +25,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .gts_model import GtsParams, char_exponent
-from .spectral import DensityTable, cdf_at, newton_cotes_weights
+from .spectral import DensityTable, _read_only, cdf_at, newton_cotes_weights
 
 
 class TailSide(enum.Enum):
@@ -239,6 +247,16 @@ def _composite_weights(nodes: int) -> np.ndarray:
     return wt
 
 
+@lru_cache(maxsize=4)
+def _contour(params: GtsParams, offset: float, radius: float, nodes: int):
+    # Nodes z = t + i offset, t equispaced on [-radius, radius], with Psi(-z)
+    # and the composite weights: shared by every strike whose step rule lands
+    # on the same node count
+    h = 2.0 * radius / (nodes - 1)
+    z = -radius + h * np.arange(nodes) + 1j * offset
+    return _read_only(z, char_exponent(params, -z), _composite_weights(nodes))
+
+
 def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide) -> float:
     """Expected one-sided payoff by contour integration.
 
@@ -274,11 +292,10 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     panels = math.ceil(2.0 * radius / (12.0 * h_target))
     nodes = 12 * panels + 1
     h = 2.0 * radius / (nodes - 1)
-    t = -radius + h * np.arange(nodes)
-    z = t + 1j * sgn * q
-    vals = np.exp(1j * z * k + char_exponent(params, -z)) / (z * z)
-    wt = _composite_weights(nodes)
-    acc = -h * (wt @ vals) / (2.0 * math.pi)
+    z, psi, wt = _contour(params, sgn * q, radius, nodes)
+    vals = np.exp(1j * z * k + psi) / (z * z)
+    # einsum, not @: a threaded BLAS product costs more than it saves here
+    acc = -h * np.einsum("q,q->", wt, vals) / (2.0 * math.pi)
     if abs(acc.imag) > 1e-7 * (1.0 + abs(acc.real)):
         raise ContourError(f"imaginary residue {acc.imag:.3e} in contour quadrature")
     return float(acc.real)

@@ -23,6 +23,18 @@ negligible, then enlarges the panel count until the nearest aliased
 images of the density, damped at the tempering rate and amplified by the
 harmonic content of the periodized quadrature weights, fall below an image
 tolerance inside the output window.
+
+Work that depends only on the grid is cached, so repeated inversions on one
+grid (a fit's iterations and line-search probes) build it once.  Each cache
+is a ``functools.lru_cache`` with a fixed bound, keyed on values, and every
+array it hands out is read-only:
+
+- the Bluestein plan (chirps, kernel FFT, padded size), keyed on
+  ``(m, n_out, delta, s)``, 4 plans, that is one grid's inversion and
+  pull-back plans and the next grid's;
+- the half-spectrum weights and the pull-back phase, keyed on the frozen
+  :class:`FourierGrid`, 2 grids each;
+- the 5-smooth transform length, keyed on the requested length, 16 entries.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gts_model import GtsParams, _psi_grad, _psi_hess, char_fn, cumulants
+from .gts_model import GtsParams, _char_terms, char_fn, cumulants
 
 _TAIL_TOL = 1e-12
 _IMG_TOL = 1e-11
@@ -51,6 +63,13 @@ class GridError(RuntimeError):
 
 class SpanError(ValueError):
     """Requested point lies outside the table's span."""
+
+
+def _read_only(*arrays):
+    # arrays handed out by a cache are shared by every caller
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=1)
@@ -95,7 +114,7 @@ def newton_cotes_weights() -> np.ndarray:
 def _partial_panel_weights() -> np.ndarray:
     # row r: weights reproducing int_0^r of the panel interpolant
     _, partial = _nc_exact()
-    return np.array([[float(w) for w in row] for row in partial])
+    return _read_only(np.array([[float(w) for w in row] for row in partial]))[0]
 
 
 @lru_cache(maxsize=1)
@@ -104,7 +123,7 @@ def _weight_harmonics() -> np.ndarray:
     # interior panel joints carry weight 2 W[0].
     w = newton_cotes_weights()
     period = np.concatenate(([2.0 * w[0]], w[1:12]))
-    return np.abs(np.fft.fft(period) / 12.0)
+    return _read_only(np.abs(np.fft.fft(period) / 12.0))[0]
 
 
 @dataclass(frozen=True)
@@ -147,6 +166,7 @@ class DensityTable:
     grid: FourierGrid
 
 
+@lru_cache(maxsize=16)
 def _fast_len(n: int) -> int:
     # smallest 5-smooth integer >= n (up to 2**39), the sizes pocketfft does fastest
     odd = (3**i * 5**j for i in range(26) for j in range(18))
@@ -161,7 +181,24 @@ def _chirp(delta: float, t: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * ((ld(delta) * t.astype(ld) ** 2) % 2).astype(float))
 
 
-def _bluestein(m: int, n_out: int, delta: float, s: float):
+@dataclass(frozen=True, eq=False)
+class _BluesteinPlan:
+    """Chirps and kernel FFT of one fractional DFT; calling it transforms rows."""
+
+    n_out: int
+    size: int
+    pre: np.ndarray
+    kern: np.ndarray
+    post: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = np.fft.fft(x * self.pre, n=self.size)
+        y *= self.kern
+        return np.fft.ifft(y)[..., : self.n_out] * self.post
+
+
+@lru_cache(maxsize=4)
+def _bluestein(m: int, n_out: int, delta: float, s: float) -> _BluesteinPlan:
     # Plan for G_k = sum_j x_j exp(-2 pi i j (k+s) delta), k = 0..n_out-1, on
     # rows of length m.  Bluestein's j(k+s) = [j^2 + (k+s)^2 - (k+s-j)^2] / 2
     # makes it one convolution, padded to a 5-smooth size.  Kernel lags
@@ -170,14 +207,8 @@ def _bluestein(m: int, n_out: int, delta: float, s: float):
     size = _fast_len(m + n_out - 1)
     t = np.arange(size)
     z = _chirp(delta, np.where(t < n_out, t, t - size) + np.longdouble(s))
-    pre, kern, post = _chirp(-delta, np.arange(m)), np.fft.fft(z), np.conj(z[:n_out])
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = np.fft.fft(x * pre, n=size)
-        y *= kern
-        return np.fft.ifft(y)[..., :n_out] * post
-
-    return apply
+    pre, kern, post = _read_only(_chirp(-delta, np.arange(m)), np.fft.fft(z), np.conj(z[:n_out]))
+    return _BluesteinPlan(n_out, size, pre, kern, post)
 
 
 def frft(seq, delta: float, s: float = 0.0) -> np.ndarray:
@@ -267,19 +298,18 @@ def _char_rows(params: GtsParams, grid: FourierGrid, order: int):
     # the symmetric frequency grid xi_q = (q - m/2) beta_step, q = 0..m.
     q = np.arange(grid.m + 1)
     xi = (q - grid.m / 2.0) * grid.beta_step
-    f = char_fn(params, xi)
+    f, g, h = _char_terms(params, xi, order)
     rows = [f]
     if order >= 1:
-        g = _psi_grad(params, -xi)
         for j in range(7):
             rows.append(f * g[j])
     if order >= 2:
-        h = _psi_hess(params, -xi)
         for k_, j_ in _PAIRS:
             rows.append(f * (g[k_] * g[j_] + h[k_, j_]))
     return np.array(rows)
 
 
+@lru_cache(maxsize=2)
 def _half_weights(grid: FourierGrid):
     # Composite weights W_q on xi_q = q beta_step, q = 0..m/2 (xi = 0 at half
     # weight), and the factor 2 beta_step/(2 pi) W_q exp(i center xi_q) that
@@ -289,7 +319,20 @@ def _half_weights(grid: FourierGrid):
     wq = np.tile(np.concatenate(([2.0 * w[0]], w[1:12])), grid.n + 1)[h : m + 1]
     wq[0], wq[-1] = 0.5 * wq[0], w[12]
     scale = grid.beta_step / (2.0 * math.pi)
-    return wq, 2.0 * scale * wq * np.exp(1j * grid.center * grid.beta_step * np.arange(h + 1))
+    return _read_only(wq, 2.0 * scale * wq * np.exp(1j * grid.center * grid.beta_step * np.arange(h + 1)))
+
+
+@lru_cache(maxsize=2)
+def _pull_back_phase(grid: FourierGrid) -> np.ndarray:
+    # the half-spectrum sample factor of _half_weights times the output-shift
+    # phase exp(2 pi i q (s - m/2) delta), reduced modulo 1 in long double
+    h = grid.m // 2
+    ld = np.longdouble
+    turns = (ld(grid.delta) * np.arange(h + 1, dtype=ld) * (ld(grid.s) - h)) % 1
+    # shift is bound to a name, so numpy cannot reuse it as the product's
+    # output and swap the operands (see _pull_back)
+    shift = np.exp(2j * np.pi * turns.astype(float))
+    return _read_only(_half_weights(grid)[1] * shift)[0]
 
 
 def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
@@ -331,10 +374,11 @@ def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     phase exp(2 pi i q (s - m/2) delta), reduced modulo 1 in long double.
     """
     m, h = grid.m, grid.m // 2
-    ld = np.longdouble
-    turns = (ld(grid.delta) * np.arange(h + 1, dtype=ld) * (ld(grid.s) - h)) % 1
-    shift = np.exp(2j * np.pi * turns.astype(float))
-    return _half_weights(grid)[1] * shift * _bluestein(m + 1, h + 1, -grid.delta, 0.0)(c)
+    d = _bluestein(m + 1, h + 1, -grid.delta, 0.0)(c)
+    # phase times d, in that order: a complex product rounds differently with
+    # its operands swapped, and numpy may evaluate phase * <temporary> as
+    # <temporary> *= phase
+    return np.multiply(_pull_back_phase(grid), d, out=d)
 
 
 def _output_points(grid: FourierGrid) -> np.ndarray:

@@ -216,6 +216,21 @@ def test_bad_levels_rejected(sp_json, tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_risk_level_outside_tail_range_rejected_before_work(sp_json, tmp_path, capsys, monkeypatch):
+    # levels are tail probabilities: 0.6 is refused by the config check,
+    # before any table or ladder rung is computed
+    import gtsfit.cli
+
+    tables = []
+    monkeypatch.setattr(gtsfit.cli, "density_table", lambda *args, **kw: tables.append(args))
+    out = tmp_path / "o"
+    code = main(["risk", "--params", str(sp_json), "--levels", "0.05,0.6", "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "risk level 0.6 outside (0, 0.5)" in capsys.readouterr().err
+    assert not (out / "risk.csv").exists()
+    assert tables == []
+
+
 def test_grid_m_multiple_of_12(sp_json, tmp_path):
     code = main([
         "pdf", "--params", str(sp_json), "--grid-m", "8192", "--out", str(tmp_path)

@@ -244,6 +244,23 @@ def test_fit_trace_monotone(small_sample):
         r.params.validate()
 
 
+def test_fit_builds_each_plan_once_per_grid(small_sample, monkeypatch):
+    # each grid of a fit needs one inversion plan and one pull-back plan;
+    # they are built once and reused across iterations and probes
+    from gtsfit import mle, spectral
+
+    grids = set()
+
+    def recording(params, grid, order=0):
+        grids.add(grid.m)
+        return spectral_tables(params, grid, order)
+
+    monkeypatch.setattr(mle, "spectral_tables", recording)
+    spectral._bluestein.cache_clear()
+    fit(small_sample, init=SP, options=FitOptions(max_iter=3))
+    assert 0 < spectral._bluestein.cache_info().misses <= 2 * len(grids)
+
+
 def test_fit_rejects_bad_init(small_sample):
     from gtsfit.gts_model import DomainError
 

@@ -18,6 +18,7 @@ from gtsfit.risk import (
     PayoffSide,
     RiskReport,
     TailSide,
+    _contour,
     _quantile_clamped,
     _quartic_roots,
     avar,
@@ -31,6 +32,7 @@ from gtsfit.risk import (
     var,
     write_risk_csv,
 )
+from gtsfit.cli import DEFAULT_LEVELS
 from gtsfit.gts_model import save_params
 from gtsfit.spectral import cdf_at
 
@@ -398,6 +400,55 @@ def test_avar_offset_invariance(key, sp_params, btc_params, sp_table, btc_table)
         call = tail_payoff_fourier(params, up.var, 0.1 * params.lambda_plus, PayoffSide.CALL)
         assert up.avar == pytest.approx(up.var + call / a, rel=0.0, abs=1e-9)
         assert up.q_used == 0.45 * params.lambda_plus
+
+
+def _ladder(params, table, cold):
+    reports = []
+    for a in DEFAULT_LEVELS:
+        for side in (TailSide.LOWER_TAIL, TailSide.UPPER_TAIL):
+            if cold:
+                _contour.cache_clear()
+            reports.append(avar(params, table, a, side))
+    return reports
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_avar_ladder_shares_one_contour_per_tail(key, sp_params, btc_params, sp_table, btc_table):
+    # every strike of a tail runs on the same node set, so the 22 payoffs of
+    # the ladder evaluate Psi(-z) twice, and reusing it changes no bit
+    params, table = (sp_params, sp_table) if key == "sp" else (btc_params, btc_table)
+    _contour.cache_clear()
+    warm = _ladder(params, table, cold=False)
+    info = _contour.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * len(DEFAULT_LEVELS) - 2)
+    assert warm == _ladder(params, table, cold=True)
+
+
+def test_contour_cache_keeps_node_sets_apart(sp_params, btc_params):
+    # these strikes land on different radii and node counts on the same
+    # contour (k = -30 and -10 share the call radius, not the nodes); each
+    # payoff must equal the one computed from an empty cache
+    cases = [(sp_params, k, PayoffSide.CALL) for k in (-30.0, -10.0, -3.0, 30.0)]
+    cases += [(sp_params, k, PayoffSide.PUT) for k in (-3.0, 10.0, 30.0)]
+    cases += [(btc_params, k, PayoffSide.CALL) for k in (-30.0, 3.0)]
+
+    def payoff(params, k, side):
+        lam = params.lambda_plus if side is PayoffSide.CALL else params.lambda_minus
+        return tail_payoff_fourier(params, k, 0.45 * lam, side)
+
+    cold = []
+    for case in cases:
+        _contour.cache_clear()
+        cold.append(payoff(*case))
+    _contour.cache_clear()
+    assert [payoff(*case) for case in cases + cases] == cold + cold
+
+
+def test_contour_arrays_are_read_only(sp_params):
+    for arr in _contour(sp_params, 0.3, 50.0, 1201):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_avar_rejects_bad_alpha(sp_params, sp_table):

@@ -7,19 +7,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gtsfit.gts_model import GtsParams, char_fn, cumulants
+from gtsfit.gts_model import GtsParams, _psi_grad, _psi_hess, _side_parts, char_fn, cumulants
 from gtsfit.spectral import (
     _CSV_BLOCK_ROWS,
+    _PAIRS,
     FourierGrid,
     GridError,
     SpanError,
+    _bluestein,
     _char_rows,
     _cumulative,
+    _fast_len,
+    _half_weights,
     _invert_rows,
     _nc_exact,
     _output_points,
     _partial_panel_weights,
     _pull_back,
+    _pull_back_phase,
+    _weight_harmonics,
     cdf_at,
     choose_grid,
     density_table,
@@ -30,6 +36,7 @@ from gtsfit.spectral import (
 )
 
 SP = GtsParams(-0.693477, 0.682290, 0.242579, 0.458582, 0.414443, 0.822222, 0.727607)
+BTC = GtsParams(-0.736924, 0.461378, 0.267178, 0.810017, 0.517347, 0.215628, 0.191937)
 
 
 # -- quadrature weights -------------------------------------------------------
@@ -241,6 +248,61 @@ def test_pull_back_is_adjoint_of_inversion(s):
     lhs = out @ c
     rhs = (rows[:, grid.m // 2 :] @ d).real
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
+
+
+@pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_char_rows_share_one_exponent_evaluation(params, order):
+    # the rows built from one shared power evaluation are bit for bit the
+    # composition of the separate char_fn, _psi_grad and _psi_hess calls
+    grid = _small_grid(params)
+    xi = (np.arange(grid.m + 1) - grid.m / 2.0) * grid.beta_step
+    f = char_fn(params, xi)
+    s = _side_parts(params, -xi, with_psi=True)
+    want = [f]
+    if order >= 1:
+        g = _psi_grad(-xi, s)
+        want += [f * g[j] for j in range(7)]
+    if order >= 2:
+        h = _psi_hess(-xi, s)
+        want += [f * (g[k] * g[j] + h[k, j]) for k, j in _PAIRS]
+    assert np.array_equal(_char_rows(params, grid, order), np.array(want))
+
+
+def _clear_plan_caches():
+    for cached in (_bluestein, _fast_len, _half_weights, _pull_back_phase):
+        cached.cache_clear()
+
+
+def test_plan_caches_match_cold_transforms():
+    # grids that differ only in the output shift s, or only in the
+    # parameters, must never share a plan or a phase: every warm transform
+    # equals the one computed from empty caches
+    grids = [(p, dataclasses.replace(_small_grid(p), s=s)) for p in (SP, BTC) for s in (0.0, 0.3)]
+    rows = [_char_rows(p, grid, 1) for p, grid in grids]
+    c = np.random.default_rng(3).standard_normal(grids[0][1].m + 1)
+    cold = []
+    for (_, grid), r in zip(grids, rows):
+        _clear_plan_caches()
+        inv = _invert_rows(r, grid)
+        _clear_plan_caches()
+        cold.append((inv, _pull_back(c, grid)))
+    _clear_plan_caches()
+    for _ in range(2):
+        for ((_, grid), r), (inv, pb) in zip(zip(grids, rows), cold):
+            assert np.array_equal(_invert_rows(r, grid), inv)
+            assert np.array_equal(_pull_back(c, grid), pb)
+
+
+def test_cached_plan_arrays_are_read_only():
+    grid = _small_grid(SP)
+    h = grid.m // 2
+    plan = _bluestein(h + 1, grid.m + 1, -grid.delta, grid.s - h)
+    cached = (plan.pre, plan.kern, plan.post, *_half_weights(grid), _pull_back_phase(grid))
+    for arr in cached + (_partial_panel_weights(), _weight_harmonics()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_non_hermitian_leading_row_rejected():
