@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -89,10 +90,9 @@ class RunConfig:
             for lv in self.levels:
                 if not 0.0 < lv < 0.5:
                     raise ConfigError(f"risk level {lv} outside (0, 0.5): levels are tail probabilities")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.synth_n < 1:
-            raise ConfigError(f"synth_n must be positive, got {self.synth_n}")
+        for name, least in (("seed", 0), ("synth_n", 1), ("max_iter", 1), ("step_damping", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
             raise ConfigError(f"interval must be an ordered pair, got {self.interval}")
         if self.window is not None and self.window not in ("month", "year"):
@@ -104,8 +104,8 @@ class RunConfig:
                 ) from None
             if w < 1:
                 raise ConfigError(f"window must be positive, got {w}")
-        if self.max_iter < 1 or self.step_damping < 1 or not self.grad_tol > 0.0:
-            raise ConfigError("fit options out of range")
+        if not self.grad_tol > 0.0:
+            raise ConfigError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,7 +132,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+# JSON types accepted for each config key, None only for the Optional fields;
+# a vol window may be a name or a day count
+_CONFIG_TYPES = {
+    **dict.fromkeys(("input_path", "params_path"), (str, type(None))),
+    **dict.fromkeys(("date_column", "price_column", "output_dir"), str),
+    **dict.fromkeys(("grid_m", "seed", "synth_n", "max_iter", "step_damping"), int),
+    "levels": (list, type(None)),
+    "interval": list,
+    "window": (str, int, type(None)),
+    "grad_tol": (int, float),
+}
+
+
+def _config_value(key: str, val):
+    # a JSON true is a Python bool, an int subclass, and no count or number
+    ok = isinstance(val, _CONFIG_TYPES[key]) and not isinstance(val, bool)
+    if ok and isinstance(val, list):
+        ok = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in val)
+        val = tuple(float(x) for x in val) if ok else val
+    if not ok:
+        raise ConfigError(f"config key {key!r} has a value of the wrong type: {val!r}")
+    return val
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -143,11 +164,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(blob, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, val in blob.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in ("levels", "interval"):
-                val = tuple(float(x) for x in val)
-            setattr(cfg, key, val)
+            setattr(cfg, key, _config_value(key, val))
     if args.input is not None:
         cfg.input_path = args.input
     if args.params is not None:
@@ -305,21 +324,13 @@ def cmd_risk(cfg: RunConfig) -> int:
     grid = choose_grid(params, cfg.grid_m)
     table = density_table(params, grid)
     reports = []
-    for lv in levels:
-        lower = avar(params, table, lv, TailSide.LOWER_TAIL)
-        upper = avar(params, table, lv, TailSide.UPPER_TAIL)
+    for lv, side in itertools.product(levels, TailSide):
+        r = avar(params, table, lv, side)
         if sample is not None:
-            lower = dataclasses.replace(
-                lower,
-                empirical_var=empirical_var(sample, lv),
-                empirical_avar=empirical_avar(sample, lv, TailSide.LOWER_TAIL),
+            r = dataclasses.replace(
+                r, empirical_var=empirical_var(sample, r.level), empirical_avar=empirical_avar(sample, lv, side)
             )
-            upper = dataclasses.replace(
-                upper,
-                empirical_var=empirical_var(sample, 1.0 - lv),
-                empirical_avar=empirical_avar(sample, lv, TailSide.UPPER_TAIL),
-            )
-        reports.extend((lower, upper))
+        reports.append(r)
     outdir = _outdir(cfg)
     write_risk_csv(reports, outdir / "risk.csv")
     print(f"{'side':<10}{'level':>8}{'VaR':>12}{'AVaR':>12}")

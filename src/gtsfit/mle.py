@@ -2,7 +2,7 @@
 
 The log likelihood and its score are read off one batch of inverse-transform
 tables, the density row and the 7 parameter gradient rows, interpolated at
-the data points with a 4-point cubic stencil.  With f_i the density at
+the data points with spectral's 4-point cubic.  With f_i the density at
 observation i,
 
     score_j   = sum_i  df_j(x_i) / f_i
@@ -23,8 +23,8 @@ when the grid chosen at an accepted point has more nodes; the accepted point
 is then evaluated again on the new grid, so the log likelihood comparison
 restarts there.  The Hessian is shifted past its largest eigenvalue when it
 is not safely negative definite, steps are capped relative to the parameter
-scale, and a trial point is accepted when it stays inside the open parameter
-box and does not lower the log likelihood beyond rounding (1e-11 relative);
+scale, and a trial point is accepted when it passes ``GtsParams.validate``
+and does not lower the log likelihood beyond rounding (1e-11 relative);
 line-search probes evaluate only the likelihood row on the current grid.
 The convergence certificate (score norm and largest eigenvalue) therefore
 always comes from the true second derivatives.
@@ -40,10 +40,11 @@ from typing import Optional
 
 import numpy as np
 
-from .gts_model import BOUND_EPS, GtsParams, _char_terms
+from .gts_model import DomainError, GtsParams, _char_terms
 from .risk import _quantile_clamped
 from .special_linalg import SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
-from .spectral import FourierGrid, SpanError, _pull_back, choose_grid, density_table, spectral_tables
+from .spectral import FourierGrid, SpanError, _interp4, _pull_back, _stencil
+from .spectral import choose_grid, density_table, spectral_tables
 
 _DENSITY_FLOOR = 1e-300
 _COVERAGE = 40.0
@@ -116,24 +117,6 @@ def write_trace_csv(trace: FitTrace, path) -> None:
             fh.write(str(r.iteration) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n")
 
 
-def _stencil(x: np.ndarray, pts: np.ndarray):
-    # cubic Lagrange on the 4 nodes idx-1..idx+2 around each point; stencil
-    # kept interior
-    gamma = x[1] - x[0]
-    idx = np.clip(((pts - x[0]) / gamma).astype(int), 1, x.size - 3)
-    t = (pts - x[idx]) / gamma
-    w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
-    w3 = (t + 1.0) * t * (t - 1.0) / 6.0
-    return idx, (w0, w1, w2, w3)
-
-
-def _interp4(x: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    idx, (w0, w1, w2, w3) = _stencil(x, pts)
-    return w0 * rows[..., idx - 1] + w1 * rows[..., idx] + w2 * rows[..., idx + 1] + w3 * rows[..., idx + 2]
-
-
 def _scatter4(x: np.ndarray, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     # transpose of _interp4 for one row: c with c @ row == vals @ _interp4(x, row, pts)
     idx, weights = _stencil(x, pts)
@@ -142,19 +125,16 @@ def _scatter4(x: np.ndarray, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _grid_for(params: GtsParams, data: np.ndarray, grid_m: int) -> FourierGrid:
     # One automatic coverage enlargement when the sample leaves the window.
-    grid = choose_grid(params, grid_m, _COVERAGE)
-    lo = grid.center - grid.m / 2.0 * grid.gamma_step
-    hi = grid.center + grid.m / 2.0 * grid.gamma_step
-    if data.min() < lo or data.max() > hi:
-        grid = choose_grid(params, grid_m, 2.0 * _COVERAGE)
+    for coverage in (_COVERAGE, 2.0 * _COVERAGE):
+        grid = choose_grid(params, grid_m, coverage)
         lo = grid.center - grid.m / 2.0 * grid.gamma_step
         hi = grid.center + grid.m / 2.0 * grid.gamma_step
-        if data.min() < lo or data.max() > hi:
-            raise SpanError(
-                f"sample range [{data.min():.4g}, {data.max():.4g}] exceeds "
-                f"the doubled table span [{lo:.4g}, {hi:.4g}]"
-            )
-    return grid
+        if not (data.min() < lo or data.max() > hi):
+            return grid
+    raise SpanError(
+        f"sample range [{data.min():.4g}, {data.max():.4g}] exceeds "
+        f"the doubled table span [{lo:.4g}, {hi:.4g}]"
+    )
 
 
 def _objective(
@@ -229,16 +209,6 @@ def default_init(returns) -> GtsParams:
     )
 
 
-def _in_bounds(v: np.ndarray) -> bool:
-    mu, bp, bm, ap, am, lp, lm = v
-    if not all(math.isfinite(c) for c in v):
-        return False
-    for b in (bp, bm):
-        if not BOUND_EPS < b < 1.0 - BOUND_EPS:
-            return False
-    return all(c > BOUND_EPS for c in (ap, am, lp, lm))
-
-
 def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions] = None):
     """Newton ascent of the log likelihood.
 
@@ -308,11 +278,10 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
         floor = ll - 1e-11 * (1.0 + abs(ll))
         for cand, d in itertools.product((capped(step), capped(-g)), range(opts.step_damping + 1)):
             vn = v - cand * 0.5**d
-            if not _in_bounds(vn):
-                continue
             try:
+                GtsParams.from_vector(vn).validate()
                 lln = evaluate(vn, order=0)[0]
-            except SpanError:
+            except (DomainError, SpanError):
                 continue
             if math.isfinite(lln) and lln > floor:
                 break

@@ -1,21 +1,22 @@
 """Tail risk measures: VaR by quantile inversion, AVaR by contour integration.
 
 Quantiles are signed (losses are negative returns), so the lower tail holds
-the loss quantiles.  VaR inverts the tabulated CDF through the same local
-cubic that :func:`~gtsfit.spectral.cdf_at` evaluates; the sampler's quantile
-inverts it through a clamped central-difference quartic instead, on whole
-arrays of levels.  AVaR adds the expected shortfall beyond VaR, evaluated as
-a Fourier integral of the characteristic function along a contour shifted
-off the real axis by a fixed offset: 0.45 lambda of the relevant tail's
-tempering rate.  By Cauchy's theorem the integral does not depend on the
-offset anywhere inside the tempering strip (Lewis 2001), so no offset is
-searched for; the payoff-reconstruction error and its grid search
-:func:`optimize_q` remain as a diagnostic of the damped quadrature.
+the loss quantiles.  VaR solves the cubic coefficients that
+:func:`~gtsfit.spectral.cdf_at` evaluates, so it is that function's exact
+inverse; the sampler's quantile inverts the CDF through a clamped
+central-difference quartic instead, on whole arrays of levels.  AVaR adds
+the expected shortfall beyond VaR, evaluated as a Fourier integral of the
+characteristic function along a contour shifted off the real axis by a fixed
+offset: 0.45 lambda of the relevant tail's tempering rate.  By Cauchy's
+theorem the integral does not depend on the offset anywhere inside the
+tempering strip (Lewis 2001), so no offset is searched for; the
+payoff-reconstruction error and its grid search :func:`optimize_q` remain as
+a diagnostic of the damped quadrature.
 
 With the offset fixed, the strikes of one tail land on the same contour
 nodes, so Psi(-z) on a contour is cached: ``_contour`` returns the nodes,
-Psi(-z) and the composite weights, keyed on ``(params, signed offset,
-radius, node count)``, at most 4 contours (both tails of two parameter
+Psi(-z) and spectral's composite weights, keyed on ``(params, signed offset,
+radius, panel count)``, at most 4 contours (both tails of two parameter
 sets), as read-only arrays.  Each strike applies only its own e^{izk}/z^2;
 an AVaR ladder evaluates Psi(-z) once per tail.
 """
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .gts_model import GtsParams, char_exponent
-from .spectral import DensityTable, _read_only, cdf_at, newton_cotes_weights
+from .spectral import DensityTable, _composite_weights, _cubic_diffs, _read_only, cdf_at
 
 
 class TailSide(enum.Enum):
@@ -193,10 +194,10 @@ def var(table: DensityTable, alpha: float) -> float:
     """Quantile of the tabulated distribution at level ``alpha``.
 
     The exact inverse of :func:`~gtsfit.spectral.cdf_at`: locates the CDF
-    bracket F_i < alpha <= F_{i+1} and solves the same 4-point cubic through
-    F_{i-1}..F_{i+2} on that cell, which changes sign there because it
-    interpolates F_i and F_{i+1}.  Brackets within two nodes of the table
-    edge raise :class:`BracketEdgeError`.
+    bracket F_i < alpha <= F_{i+1} and solves, on that cell, the 4-point cubic
+    through F_{i-1}..F_{i+2} from the coefficients ``cdf_at`` evaluates; it
+    changes sign there because it interpolates F_i and F_{i+1}.  Brackets
+    within two nodes of the table edge raise :class:`BracketEdgeError`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -205,15 +206,8 @@ def var(table: DensityTable, alpha: float) -> float:
     i = int(np.searchsorted(big_f, alpha, side="left")) - 1
     if i < 2 or i > m - 4:
         raise BracketEdgeError(f"quantile bracket {i} at table edge (m={m})")
-    # cubic Lagrange on the nodes y = -1, 0, 1, 2 in power form around x_i,
-    # built from differences to F_i so that the coefficients keep their
-    # relative accuracy where F is close to 1; c1 + c2 + c3 = F_{i+1} - F_i
-    f0 = big_f[i]
-    dm1, d1, d2 = big_f[i - 1] - f0, big_f[i + 1] - f0, big_f[i + 2] - f0
-    c1 = d1 - dm1 / 3.0 - d2 / 6.0
-    c2 = (dm1 + d1) / 2.0
-    c3 = (d2 - dm1) / 6.0 - d1 / 2.0
-    y = quartic_root_unit(f0 - alpha, c1, c2, c3, 0.0)
+    c = _cubic_diffs(big_f, i)
+    y = quartic_root_unit(big_f[i] - alpha, c[1], c[2], c[3], 0.0)
     return float(table.x[i] + y * (table.x[i + 1] - table.x[i]))
 
 
@@ -238,23 +232,14 @@ def _quantile_clamped(table: DensityTable, u: np.ndarray) -> np.ndarray:
     return table.x[i] + y * (table.x[i + 1] - table.x[i])
 
 
-def _composite_weights(nodes: int) -> np.ndarray:
-    # nodes = 12 * panels + 1; panel joints accumulate the doubled end weight
-    w = newton_cotes_weights()
-    wt = np.zeros(nodes)
-    for j in range(13):
-        wt[j::12] += w[j]
-    return wt
-
-
 @lru_cache(maxsize=4)
-def _contour(params: GtsParams, offset: float, radius: float, nodes: int):
-    # Nodes z = t + i offset, t equispaced on [-radius, radius], with Psi(-z)
-    # and the composite weights: shared by every strike whose step rule lands
-    # on the same node count
-    h = 2.0 * radius / (nodes - 1)
-    z = -radius + h * np.arange(nodes) + 1j * offset
-    return _read_only(z, char_exponent(params, -z), _composite_weights(nodes))
+def _contour(params: GtsParams, offset: float, radius: float, panels: int):
+    # Nodes z = t + i offset, t at 12 * panels + 1 equispaced points on
+    # [-radius, radius], with Psi(-z) and the composite weights: shared by
+    # every strike whose step rule lands on the same panel count
+    h = 2.0 * radius / (12 * panels)
+    z = -radius + h * np.arange(12 * panels + 1) + 1j * offset
+    return _read_only(z, char_exponent(params, -z), _composite_weights(panels))
 
 
 def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide) -> float:
@@ -290,9 +275,8 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     # equispaced interpolant rings against 1/z^2 and biases the integral
     h_target = min(q / 32.0, 2.0 * math.pi / (32.0 * (abs(k) + 1.0)), 0.02)
     panels = math.ceil(2.0 * radius / (12.0 * h_target))
-    nodes = 12 * panels + 1
-    h = 2.0 * radius / (nodes - 1)
-    z, psi, wt = _contour(params, sgn * q, radius, nodes)
+    h = 2.0 * radius / (12 * panels)
+    z, psi, wt = _contour(params, sgn * q, radius, panels)
     vals = np.exp(1j * z * k + psi) / (z * z)
     # einsum, not @: a threaded BLAS product costs more than it saves here
     acc = -h * np.einsum("q,q->", wt, vals) / (2.0 * math.pi)
@@ -314,7 +298,7 @@ def _reconstruction_errors(k: float, q_values: np.ndarray) -> np.ndarray:
         raise ValueError("offset q must be nonzero")
     nodes = int(round(2.0 * _ER_RADIUS / _ER_STEP)) + 1
     t = -_ER_RADIUS + _ER_STEP * np.arange(nodes)
-    wt = _composite_weights(nodes)
+    wt = _composite_weights((nodes - 1) // 12)
     base = wt * (-np.exp(-1j * t * k))
     kernels = base[None, :] / ((t[None, :] + 1j * q_values[:, None]) ** 2)
     j_lo = math.ceil((k - _ER_WINDOW) / _ER_LATTICE)

@@ -8,6 +8,13 @@ the transform parameter ``delta = beta_step * gamma_step / (2 pi)``, so the
 output window can track the distribution's own scale instead of the FFT
 reciprocal grid.
 
+This module defines the package's two discretisation rules once each.  The
+composite weights (``_composite_weights``) serve the inversion here and the
+AVaR contour in ``risk``.  The 4-point cubic (``_CUBIC``) interpolates the
+fitter's rows (``_interp4``); ``cdf_at`` evaluates and ``risk.var`` solves
+one set of its coefficients (``_cubic_diffs``), so VaR inverts the CDF
+exactly.
+
 The sums are evaluated in one shot.  The weights are folded into the
 frequency samples; as every row is Hermitian (F(-xi) = conj F(xi), for the
 derivative rows too) one fractional FFT per row, padded to a 5-smooth length,
@@ -117,13 +124,20 @@ def _partial_panel_weights() -> np.ndarray:
     return _read_only(np.array([[float(w) for w in row] for row in partial]))[0]
 
 
+def _composite_weights(panels: int) -> np.ndarray:
+    # Composite Newton-Cotes weights on 12 * panels + 1 unit-spaced nodes:
+    # interior panel joints carry 2 W[0], the two ends W[0] and W[12]
+    w = newton_cotes_weights()
+    wt = np.tile(np.concatenate(([2.0 * w[0]], w[1:12])), panels + 1)[: 12 * panels + 1]
+    wt[0], wt[-1] = w[0], w[12]
+    return wt
+
+
 @lru_cache(maxsize=1)
 def _weight_harmonics() -> np.ndarray:
-    # Magnitudes of the 12-periodic harmonics of the periodized panel weights;
-    # interior panel joints carry weight 2 W[0].
-    w = newton_cotes_weights()
-    period = np.concatenate(([2.0 * w[0]], w[1:12]))
-    return _read_only(np.abs(np.fft.fft(period) / 12.0))[0]
+    # Magnitudes of the 12-periodic harmonics of the periodized panel weights,
+    # one period starting at an interior panel joint
+    return _read_only(np.abs(np.fft.fft(_composite_weights(2)[12:24]) / 12.0))[0]
 
 
 @dataclass(frozen=True)
@@ -314,10 +328,9 @@ def _half_weights(grid: FourierGrid):
     # Composite weights W_q on xi_q = q beta_step, q = 0..m/2 (xi = 0 at half
     # weight), and the factor 2 beta_step/(2 pi) W_q exp(i center xi_q) that
     # folds them, the scale and the window centre into a half-spectrum sample
-    m, h = grid.m, grid.m // 2
-    w = newton_cotes_weights()
-    wq = np.tile(np.concatenate(([2.0 * w[0]], w[1:12])), grid.n + 1)[h : m + 1]
-    wq[0], wq[-1] = 0.5 * wq[0], w[12]
+    h = grid.m // 2
+    wq = _composite_weights(grid.n)[h:]
+    wq[0] *= 0.5
     scale = grid.beta_step / (2.0 * math.pi)
     return _read_only(wq, 2.0 * scale * wq * np.exp(1j * grid.center * grid.beta_step * np.arange(h + 1)))
 
@@ -445,27 +458,48 @@ def density_table(params: GtsParams, grid: FourierGrid, with_derivatives: bool =
     )
 
 
+# Monomial coefficients of the four Lagrange cardinal cubics on the nodes
+# -1, 0, 1, 2: row j holds L_j(t) = sum_p _CUBIC[j, p] t^p.
+_CUBIC = _read_only(np.array([[0, -2, 3, -1], [6, -3, -6, 3], [0, 6, 3, -3], [0, -1, 0, 1]]) / 6.0)[0]
+
+
+def _stencil(x: np.ndarray, pts: np.ndarray):
+    # _CUBIC weights on the 4 nodes idx-1..idx+2 around each point, kept interior
+    gamma = x[1] - x[0]
+    idx = np.clip(((pts - x[0]) / gamma).astype(int), 1, x.size - 3)
+    t = (pts - x[idx]) / gamma
+    return idx, _CUBIC @ t ** np.arange(4)[:, None]
+
+
+def _interp4(x: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    # the cubic through the 4 nodes around each point, along the last axis of rows
+    idx, w = _stencil(x, pts)
+    return sum(wo * rows[..., idx + o] for o, wo in zip((-1, 0, 1, 2), w))
+
+
+def _cubic_diffs(fs: np.ndarray, i: int) -> np.ndarray:
+    # Coefficients in y = (x - x_i)/gamma of the cubic through fs[i-1..i+2]
+    # minus fs[i] (constant 0); differences keep their accuracy where fs ~ 1
+    return (fs[i - 1 : i + 3] - fs[i]) @ _CUBIC
+
+
 def cdf_at(table: DensityTable, x: float) -> float:
     """CDF at ``x`` by cubic 4-point interpolation of the tabulated values.
 
-    The interpolant is clipped to the bracketing node values, which keeps it
-    monotone between nodes; points outside the span raise :class:`SpanError`.
+    The cubic on a cell is the one :func:`~gtsfit.risk.var` solves, from the
+    same coefficients (one node inward at the table edges).  The interpolant
+    is clipped to the bracketing node values, which keeps it monotone between
+    nodes; points outside the span raise :class:`SpanError`.
     """
     xs, fs = table.x, table.F
     if not xs[0] <= x <= xs[-1]:
         raise SpanError(f"x={x} outside table span [{xs[0]:.6g}, {xs[-1]:.6g}]")
     gamma = table.grid.gamma_step
-    i = int((x - xs[0]) / gamma)
-    i = min(max(i, 0), len(xs) - 2)
-    lo = min(max(i - 1, 0), len(xs) - 4)
-    t = (x - xs[lo]) / gamma
-    pts = fs[lo : lo + 4]
-    val = (
-        -pts[0] * (t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
-        + pts[1] * t * (t - 2.0) * (t - 3.0) / 2.0
-        - pts[2] * t * (t - 1.0) * (t - 3.0) / 2.0
-        + pts[3] * t * (t - 1.0) * (t - 2.0) / 6.0
-    )
+    i = min(max(int((x - xs[0]) / gamma), 0), len(xs) - 2)
+    j = min(max(i, 1), len(xs) - 3)
+    c = _cubic_diffs(fs, j)
+    y = (x - xs[j]) / gamma
+    val = fs[j] + y * (c[1] + y * (c[2] + y * c[3]))
     return float(min(max(val, fs[i]), fs[i + 1]))
 
 

@@ -1,11 +1,21 @@
 """End-to-end command line runs through main(); exit codes and artifacts."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gtsfit.cli import DEFAULT_LEVELS, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_OK, main
+from gtsfit.cli import (
+    _CONFIG_TYPES,
+    DEFAULT_LEVELS,
+    EXIT_INPUT,
+    EXIT_NO_CONVERGENCE,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    RunConfig,
+    main,
+)
 from gtsfit.gts_model import GtsParams, load_params, moment_stats, save_params
 from gtsfit.mle import sample_inverse_cdf
 from gtsfit.spectral import choose_grid, density_table, write_density_csv
@@ -243,6 +253,40 @@ def test_unknown_config_key(sp_json, tmp_path):
     cfg.write_text(json.dumps({"grid_n": 12}), encoding="utf-8")
     code = main(["pdf", "--config", str(cfg), "--params", str(sp_json), "--out", str(tmp_path)])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "key, val",
+    [
+        ("seed", "abc"),
+        ("grid_m", "8196"),
+        ("grid_m", 8196.0),
+        ("max_iter", None),
+        ("synth_n", True),
+        ("levels", 0.05),
+        ("levels", [0.05, "x"]),
+        ("interval", None),
+        ("max_iter", 0),
+        ("step_damping", 0),
+        ("grad_tol", 0),
+        ("seed", -1),
+    ],
+)
+def test_bad_config_value_names_key_and_value(key, val, sp_json, tmp_path, capsys):
+    # a wrong type or a value out of range ends in exit 2 naming the key and
+    # the value, before any output is written
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: val}), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["risk", "--config", str(cfg), "--params", str(sp_json), "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert key in err and repr(val).strip("'") in err
+    assert not out.exists()
+
+
+def test_config_types_cover_every_field():
+    assert set(_CONFIG_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_numeric_failure_exit(tmp_path):

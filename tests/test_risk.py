@@ -34,7 +34,7 @@ from gtsfit.risk import (
 )
 from gtsfit.cli import DEFAULT_LEVELS
 from gtsfit.gts_model import save_params
-from gtsfit.spectral import cdf_at
+from gtsfit.spectral import _composite_weights, cdf_at
 
 
 # -- empirical estimators -----------------------------------------------------
@@ -139,6 +139,16 @@ def test_var_round_trip(sp_table):
     for level in (0.01, 0.05, 0.5, 0.95, 0.99):
         x = var(sp_table, level)
         assert cdf_at(sp_table, x) == pytest.approx(level, abs=5e-9)
+
+
+@pytest.mark.parametrize("asset", ["sp", "btc"])
+def test_var_is_exact_inverse_of_cdf_at(asset, request):
+    # var solves the cubic coefficients that cdf_at evaluates, so the round
+    # trip is exact up to the rounding of the quantile itself
+    table = request.getfixturevalue(f"{asset}_table")
+    levels = [a for lv in DEFAULT_LEVELS for a in (lv, 1.0 - lv)] + [0.001, 0.5, 0.999]
+    for level in levels:
+        assert abs(cdf_at(table, var(table, level)) - level) <= 4.5e-16, level
 
 
 def test_var_monotone_in_level(sp_table):
@@ -444,8 +454,13 @@ def test_contour_cache_keeps_node_sets_apart(sp_params, btc_params):
     assert [payoff(*case) for case in cases + cases] == cold + cold
 
 
+def test_contour_weights_are_the_composite_rule(sp_params):
+    # the last node carries W[12], not 2 W[0]
+    assert np.array_equal(_contour(sp_params, 0.3, 50.0, 100)[2], _composite_weights(100))
+
+
 def test_contour_arrays_are_read_only(sp_params):
-    for arr in _contour(sp_params, 0.3, 50.0, 1201):
+    for arr in _contour(sp_params, 0.3, 50.0, 100):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0

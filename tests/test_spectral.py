@@ -10,15 +10,18 @@ import pytest
 from gtsfit.gts_model import GtsParams, _psi_grad, _psi_hess, _side_parts, char_fn, cumulants
 from gtsfit.spectral import (
     _CSV_BLOCK_ROWS,
+    _CUBIC,
     _PAIRS,
     FourierGrid,
     GridError,
     SpanError,
     _bluestein,
     _char_rows,
+    _composite_weights,
     _cumulative,
     _fast_len,
     _half_weights,
+    _interp4,
     _invert_rows,
     _nc_exact,
     _output_points,
@@ -79,6 +82,43 @@ def test_partial_weights_rows():
         assert [float(w) for w in partial[r]] == v[r].tolist()
     assert partial[12] == full
     assert np.array_equal(v[12], newton_cotes_weights())
+
+
+@pytest.mark.parametrize("panels", [1, 2, 7])
+def test_composite_weights_exact_to_degree_13(panels):
+    # every 12-subinterval panel is exact for degree 13, so the composite rule
+    # on 12 * panels unit steps is too; ends W[0], W[12], interior joints 2 W[0]
+    n = 12 * panels
+    w = _composite_weights(panels)
+    assert w.shape == (n + 1,)
+    t = np.arange(n + 1) / n
+    for k in range(14):
+        assert float(w @ t**k) / n == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0.0), k
+
+
+def test_half_weights_are_the_composite_rule(sp_table):
+    # the xi >= 0 half of the composite weights, xi = 0 at half weight
+    grid = sp_table.grid
+    want = _composite_weights(grid.n)[grid.m // 2 :].copy()
+    want[0] *= 0.5
+    assert np.array_equal(_half_weights(grid)[0], want)
+
+
+def test_cubic_rows_are_the_cardinal_cubics():
+    # row j of _CUBIC is 1 at node j - 1 and 0 at the other nodes of -1..2
+    nodes = np.array([-1.0, 0.0, 1.0, 2.0])
+    assert np.allclose(_CUBIC @ nodes ** np.arange(4)[:, None], np.eye(4), rtol=0.0, atol=1e-15)
+    assert not _CUBIC.flags.writeable
+
+
+def test_cdf_at_is_the_shared_cubic_at_the_edges(sp_table):
+    # one node inward at either edge: the cubic through the first (last) four
+    # nodes, to a few ulp of 1 (cdf_at sums differences, _interp4 node values)
+    t = sp_table
+    for i in (0, t.x.size - 2):
+        x = float(t.x[i] + 0.3 * t.grid.gamma_step)
+        val = float(_interp4(t.x, t.F, np.array([x]))[0])
+        assert cdf_at(t, x) == pytest.approx(min(max(val, t.F[i]), t.F[i + 1]), rel=0.0, abs=5e-16)
 
 
 # -- fractional DFT -----------------------------------------------------------
