@@ -87,6 +87,8 @@ class RunConfig:
         if self.grid_m < 12 or self.grid_m % 12 != 0:
             raise ConfigError(f"grid_m must be a positive multiple of 12, got {self.grid_m}")
         if self.levels is not None:
+            if not self.levels:
+                raise ConfigError("levels must hold at least one tail probability, got []")
             for lv in self.levels:
                 if not 0.0 < lv < 0.5:
                     raise ConfigError(f"risk level {lv} outside (0, 0.5): levels are tail probabilities")

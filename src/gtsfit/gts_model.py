@@ -13,10 +13,12 @@ uses the principal branch of the complex power; the characteristic function
 follows as F(xi) = exp(Psi(-xi)).  All quantities are in percent units.
 
 The complex logs and powers of the two power arguments are the costly part
-of every evaluation.  :func:`_char_terms` computes them once and derives F
-and the first and second parameter derivatives of Psi from them, so the
-inversion rows and the fitter's Hessian contraction pay for one pass per
-call.  Nothing is cached in this module.
+of every evaluation.  :func:`_char_terms` computes them once and returns F,
+the first parameter derivatives of Psi and the per-side parts from which
+:func:`_side_hess` builds the second derivatives, so the inversion rows and
+the fitter's Hessian contraction pay for one pass.  The two jump sides never
+mix, so the second derivatives are kept as one (beta, alpha, lambda) block
+per side.  Nothing is cached in this module.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ import numpy as np
 from .special_linalg import digamma_fn, gamma_fn, trigamma_fn
 
 BOUND_EPS = 1e-8
+
+# canonical indices (beta, alpha, lambda) of each jump side's parameters
+_SIDE_INDEX = {"p": (1, 3, 5), "m": (2, 4, 6)}
 
 PARAM_NAMES = (
     "mu",
@@ -180,7 +185,6 @@ def _side_parts(params: GtsParams, xi, with_psi: bool = False):
             "a": a,
             "lam": lam,
             "g": g,
-            "w": w,
             "logw": logw,
             "P": np.exp(b * logw),
             "Pl": lam**b,
@@ -222,7 +226,7 @@ def _psi_grad(xi, s) -> np.ndarray:
     xi = np.asarray(xi)
     out = np.zeros((7,) + xi.shape, dtype=complex)
     out[0] = 1j * xi
-    for idx_b, idx_a, idx_l, key in ((1, 3, 5, "p"), (2, 4, 6, "m")):
+    for key, (idx_b, idx_a, idx_l) in _SIDE_INDEX.items():
         d = s[key]
         b, a, g = d["b"], d["a"], d["g"]
         diff = d["P"] - d["Pl"]
@@ -236,62 +240,66 @@ def _psi_grad(xi, s) -> np.ndarray:
     return out
 
 
+def _side_hess(d) -> np.ndarray:
+    """Hessian of one side's term of Psi in that side's (beta, alpha, lambda),
+    shape (3, 3) + xi.shape, from its side parts ``d = s[key]``.
+
+    Psi is linear in alpha, so the (alpha, alpha) entry is zero.
+    """
+    b, a, g, psi0, psi1 = d["b"], d["a"], d["g"], d["psi0"], d["psi1"]
+    logw, llam = d["logw"], d["llam"]
+    diff = d["P"] - d["Pl"]
+    wbm1 = np.exp((b - 1.0) * logw)
+    wbm2 = np.exp((b - 2.0) * logw)
+    lbm1 = d["lam"] ** (b - 1.0)
+    lbm2 = d["lam"] ** (b - 2.0)
+    dlog = d["P"] * logw - d["Pl"] * llam
+    out = np.zeros((3, 3) + logw.shape, dtype=complex)
+    out[1, 2] = out[2, 1] = g * b * (wbm1 - lbm1)
+    out[1, 0] = out[0, 1] = g * (-psi0 * diff + dlog)
+    out[2, 2] = a * g * b * (b - 1.0) * (wbm2 - lbm2)
+    out[2, 0] = out[0, 2] = a * g * (
+        (1.0 - b * psi0) * (wbm1 - lbm1) + b * (wbm1 * logw - lbm1 * llam)
+    )
+    out[0, 0] = a * g * (
+        (psi0 * psi0 + psi1) * diff
+        - 2.0 * psi0 * dlog
+        + d["P"] * logw * logw
+        - d["Pl"] * llam * llam
+    )
+    return out
+
+
 def _psi_hess(xi, s) -> np.ndarray:
     """Hessian of Psi w.r.t. the parameter vector, shape (7, 7) + xi.shape,
     from the side parts as for :func:`_psi_grad`.
 
     The mu row is identically zero and the two jump sides never mix, so only
-    the per-side (alpha, lambda, beta) blocks are populated.
+    the per-side blocks of :func:`_side_hess` are populated.
     """
     xi = np.asarray(xi)
     out = np.zeros((7, 7) + xi.shape, dtype=complex)
-    for idx_b, idx_a, idx_l, key in ((1, 3, 5, "p"), (2, 4, 6, "m")):
-        d = s[key]
-        b, a, g, psi0, psi1 = d["b"], d["a"], d["g"], d["psi0"], d["psi1"]
-        logw, llam = d["logw"], d["llam"]
-        diff = d["P"] - d["Pl"]
-        wbm1 = np.exp((b - 1.0) * logw)
-        wbm2 = np.exp((b - 2.0) * logw)
-        lbm1 = d["lam"] ** (b - 1.0)
-        lbm2 = d["lam"] ** (b - 2.0)
-        dlog = d["P"] * logw - d["Pl"] * llam
-        d_al = g * b * (wbm1 - lbm1)
-        d_ab = g * (-psi0 * diff + dlog)
-        d_ll = a * g * b * (b - 1.0) * (wbm2 - lbm2)
-        d_lb = a * g * (
-            (1.0 - b * psi0) * (wbm1 - lbm1) + b * (wbm1 * logw - lbm1 * llam)
-        )
-        d_bb = a * g * (
-            (psi0 * psi0 + psi1) * diff
-            - 2.0 * psi0 * dlog
-            + d["P"] * logw * logw
-            - d["Pl"] * llam * llam
-        )
-        out[idx_a, idx_l] = out[idx_l, idx_a] = d_al
-        out[idx_a, idx_b] = out[idx_b, idx_a] = d_ab
-        out[idx_l, idx_l] = d_ll
-        out[idx_l, idx_b] = out[idx_b, idx_l] = d_lb
-        out[idx_b, idx_b] = d_bb
+    for key, ix in _SIDE_INDEX.items():
+        out[np.ix_(ix, ix)] = _side_hess(s[key])
     return out
 
 
-def _char_terms(params: GtsParams, xi, order: int):
-    """F(xi) with dPsi (order >= 1) and d2Psi (order 2) at -xi, else None.
+def _char_terms(params: GtsParams, xi, grad: bool):
+    """F(xi), dPsi at -xi (``grad``, else None) and the side parts at -xi.
 
-    All three come from one :func:`_side_parts` evaluation at -xi; F equals
-    ``char_fn(params, xi)`` bit for bit.
+    All come from one :func:`_side_parts` evaluation at -xi; F equals
+    ``char_fn(params, xi)`` bit for bit, and the side parts carry what
+    :func:`_side_hess` needs when ``grad`` is set.
     """
     nxi = -np.asarray(xi)
-    s = _side_parts(params, nxi, with_psi=order >= 1)
+    s = _side_parts(params, nxi, with_psi=grad)
     f = np.exp(_exponent(params, nxi, s))
-    g = _psi_grad(nxi, s) if order >= 1 else None
-    h = _psi_hess(nxi, s) if order >= 2 else None
-    return f, g, h
+    return f, _psi_grad(nxi, s) if grad else None, s
 
 
 def char_fn_grad(params: GtsParams, xi) -> np.ndarray:
     """Parameter gradient of the characteristic function, shape (7,) + xi.shape."""
-    f, g, _ = _char_terms(params, xi, 1)
+    f, g, _ = _char_terms(params, xi, True)
     return f * g
 
 
@@ -300,8 +308,8 @@ def char_fn_hess(params: GtsParams, xi) -> np.ndarray:
 
     Product structure: d2F = F (dPsi_k dPsi_j + d2Psi_kj), evaluated at -xi.
     """
-    f, gp, hp = _char_terms(params, xi, 2)
-    return f * (gp[:, None] * gp[None, :] + hp)
+    f, gp, s = _char_terms(params, xi, True)
+    return f * (gp[:, None] * gp[None, :] + _psi_hess(-np.asarray(xi), s))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,11 @@ d2f_kj(x_i).  So it equals Re sum_q r_kj(xi_q) d_q, where d is the transpose
 of that map applied to 1/f: the stencil weights scattered onto the output
 nodes, then one pull-back transform to the xi >= 0 nodes.  The 28
 second-derivative rows are never built or inverted; the Hessian is one
-contraction of F d with the analytic derivatives g and h of the exponent,
-all three from one evaluation of the exponent's power terms.
+contraction of F d with the analytic derivatives g and h of the exponent.
+F and g are shared with the inversion: the order-1 table evaluates them on
+the xi >= 0 half and spectral's last-evaluation cache hands them back, with
+the power terms from which h is built, one (beta, alpha, lambda) block per
+jump side (h has no mu row and no cross-side terms).
 
 The optimizer is one damped Newton ascent on the exact observed Hessian.
 The transform grid is chosen once at the starting point and is replaced only
@@ -40,10 +43,10 @@ from typing import Optional
 
 import numpy as np
 
-from .gts_model import DomainError, GtsParams, _char_terms
+from .gts_model import _SIDE_INDEX, DomainError, GtsParams, _side_hess
 from .risk import _quantile_clamped
 from .special_linalg import SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
-from .spectral import FourierGrid, SpanError, _interp4, _pull_back, _stencil
+from .spectral import FourierGrid, SpanError, _grad_terms, _interp4, _pull_back, _stencil
 from .spectral import choose_grid, density_table, spectral_tables
 
 _DENSITY_FLOOR = 1e-300
@@ -156,12 +159,14 @@ def _objective(
     score = u.sum(axis=1)
     if order == 1:
         return ll, score, None, grid
-    # adjoint Hessian (module docstring): Re sum_q F (g_k g_j + h_kj) d_q, xi >= 0
+    # adjoint Hessian (module docstring): Re sum_q F (g_k g_j + h_kj) d_q, xi >= 0,
+    # with F and g the ones the order-1 inversion above evaluated
     d = _pull_back(_scatter4(x, data, 1.0 / f), grid)
-    xi = np.arange(grid.m // 2 + 1) * grid.beta_step
-    f, g, h = _char_terms(params, xi, 2)
+    f, g, s = _grad_terms(params, grid)
     fd = f * d
-    curv = (g * fd) @ g.T + np.einsum("kjq,q->kj", h, fd)
+    curv = (g * fd) @ g.T
+    for key, ix in _SIDE_INDEX.items():
+        curv[np.ix_(ix, ix)] += np.einsum("kjq,q->kj", _side_hess(s[key]), fd)
     return ll, score, curv.real - u @ u.T, grid
 
 
@@ -302,15 +307,14 @@ def sample_inverse_cdf(params: GtsParams, n: int, seed: int, grid_m: int = 8192)
     The n uniform levels come from one ``default_rng(seed)`` call.  They are
     inverted through the clamped central-difference quartic of
     :func:`~gtsfit.risk._quantile_clamped`, a block of ``_SAMPLE_BLOCK``
-    levels at a time, so the solver's workspace stays O(block) beside the
-    output.
+    levels at a time, each block of draws overwriting its levels, so the
+    solver's workspace stays O(block) beside the output.
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     grid = choose_grid(params, grid_m)
     table = density_table(params, grid)
     u = np.random.default_rng(seed).random(n)
-    out = np.empty(n)
     for lo in range(0, n, _SAMPLE_BLOCK):
-        out[lo : lo + _SAMPLE_BLOCK] = _quantile_clamped(table, u[lo : lo + _SAMPLE_BLOCK])
-    return out
+        u[lo : lo + _SAMPLE_BLOCK] = _quantile_clamped(table, u[lo : lo + _SAMPLE_BLOCK])
+    return u

@@ -15,11 +15,15 @@ fitter's rows (``_interp4``); ``cdf_at`` evaluates and ``risk.var`` solves
 one set of its coefficients (``_cubic_diffs``), so VaR inverts the CDF
 exactly.
 
-The sums are evaluated in one shot.  The weights are folded into the
-frequency samples; as every row is Hermitian (F(-xi) = conj F(xi), for the
-derivative rows too) one fractional FFT per row, padded to a 5-smooth length,
-takes the m/2+1 samples with xi >= 0 and the result is twice its real part.
-A direct evaluation of the composite sum is the cross-check in the tests.
+The sums are evaluated in one shot.  Every row is Hermitian (F(-xi) =
+conj F(xi), for the derivative rows too), so the characteristic function
+and its derivatives are evaluated on the m/2+1 samples with xi >= 0 only.
+The weights are folded into those samples, one fractional FFT per row,
+padded to a 5-smooth length, takes them and the result is twice its real
+part.  ``_char_rows`` mirrors the half onto the whole symmetric grid for the
+tests, and ``_invert_rows`` checks the symmetry of rows a caller supplies
+before it transforms their xi >= 0 half.  A direct evaluation of the
+composite sum is the cross-check in the tests.
 The exact transpose of that map, the pull-back, takes weights on the output
 points back to the xi >= 0 samples in one more fractional FFT; the fitter's
 observed Hessian uses it instead of inverting second-derivative rows.
@@ -34,14 +38,24 @@ tolerance inside the output window.
 Work that depends only on the grid is cached, so repeated inversions on one
 grid (a fit's iterations and line-search probes) build it once.  Each cache
 is a ``functools.lru_cache`` with a fixed bound, keyed on values, and every
-array it hands out is read-only:
+array it hands out, except the workspace, is read-only:
 
 - the Bluestein plan (chirps, kernel FFT, padded size), keyed on
   ``(m, n_out, delta, s)``, 4 plans, that is one grid's inversion and
   pull-back plans and the next grid's;
 - the half-spectrum weights and the pull-back phase, keyed on the frozen
   :class:`FourierGrid`, 2 grids each;
-- the 5-smooth transform length, keyed on the requested length, 16 entries.
+- the 5-smooth transform length, keyed on the requested length, 16 entries;
+- the last order-1 evaluation (``_grad_terms``): F, the gradient of Psi and
+  the side parts its second derivatives are built from, on the xi >= 0
+  half, keyed on ``(params, grid)``, 1 entry.  That is 12 complex arrays of
+  m/2+1 values, 4.4 MB at m = 46 296; the fitter's Hessian reads F and the
+  gradient back from it instead of evaluating them again.  Order-0 terms
+  and the second derivatives are never kept;
+- the transform workspace (``_workspace``), one writable complex row of the
+  padded size that every transform pads into and runs its FFTs on in place,
+  keyed on that size, 1 entry: 1.1 MB at m = 46 296.  Each transform copies
+  its result out, so no caller ever holds a view of it.
 """
 
 from __future__ import annotations
@@ -53,14 +67,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gts_model import GtsParams, _char_terms, char_fn, cumulants
+from .gts_model import GtsParams, _char_terms, _psi_hess, char_fn, cumulants
 
 _TAIL_TOL = 1e-12
 _IMG_TOL = 1e-11
 _MASS_TOL = 1e-4
 _WINDOW_TOL = 1e-9
 _NODE_CAP = 2**21  # 5x the largest regular grid (BTC, refine 2, coverage 80)
-_ROW_BATCH = 4  # rows per transform, to keep the FFT workspace small
 _CSV_BLOCK_ROWS = 4096  # rows formatted per write by the CSV writers
 
 
@@ -195,9 +208,19 @@ def _chirp(delta: float, t: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * ((ld(delta) * t.astype(ld) ** 2) % 2).astype(float))
 
 
+@lru_cache(maxsize=1)
+def _workspace(size: int) -> np.ndarray:
+    # The one complex row every transform pads into and runs its FFTs on in
+    # place, kept for the next transform of the same padded size.  Writable,
+    # unlike every other cached array: each transform copies its result out,
+    # and transforms never overlap (the package starts no threads).
+    return np.empty(size, dtype=complex)
+
+
 @dataclass(frozen=True, eq=False)
 class _BluesteinPlan:
-    """Chirps and kernel FFT of one fractional DFT; calling it transforms rows."""
+    """Chirps and kernel FFT of one fractional DFT; calling it transforms rows,
+    one at a time in the shared workspace, into a fresh array."""
 
     n_out: int
     size: int
@@ -206,9 +229,19 @@ class _BluesteinPlan:
     post: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = np.fft.fft(x * self.pre, n=self.size)
-        y *= self.kern
-        return np.fft.ifft(y)[..., : self.n_out] * self.post
+        n = x.shape[-1]
+        out = np.empty(x.shape[:-1] + (self.n_out,), dtype=complex)
+        buf = _workspace(self.size)
+        # one row per FFT call: numpy's batched FFT allocates a scratch block
+        # on every call, while a single contiguous row is transformed in place
+        for row, dst in zip(x.reshape(-1, n), out.reshape(-1, self.n_out)):
+            np.multiply(row, self.pre, out=buf[:n])
+            buf[n:] = 0.0
+            np.fft.fft(buf, out=buf)
+            buf *= self.kern
+            np.fft.ifft(buf, out=buf)
+            np.multiply(buf[: self.n_out], self.post, out=dst)
+        return out
 
 
 @lru_cache(maxsize=4)
@@ -307,20 +340,42 @@ def choose_grid(
 _PAIRS = [(k, j) for k in range(7) for j in range(k, 7)]
 
 
-def _char_rows(params: GtsParams, grid: FourierGrid, order: int):
+def _half_xi(grid: FourierGrid) -> np.ndarray:
+    # the xi >= 0 half of the frequency grid: xi_q = q beta_step, q = 0..m/2
+    return np.arange(grid.m // 2 + 1) * grid.beta_step
+
+
+@lru_cache(maxsize=1)
+def _grad_terms(params: GtsParams, grid: FourierGrid):
+    # F, dPsi and the side parts at -xi on the xi >= 0 half: the last order-1
+    # evaluation, which the fitter's Hessian reads back after the inversion
+    f, g, s = _char_terms(params, _half_xi(grid), True)
+    for d in s.values():
+        _read_only(*(v for v in d.values() if isinstance(v, np.ndarray)))
+    return _read_only(f, g) + (s,)
+
+
+def _half_rows(params: GtsParams, grid: FourierGrid, order: int) -> np.ndarray:
     # Characteristic-function samples (and parameter derivative samples) on
-    # the symmetric frequency grid xi_q = (q - m/2) beta_step, q = 0..m.
-    q = np.arange(grid.m + 1)
-    xi = (q - grid.m / 2.0) * grid.beta_step
-    f, g, h = _char_terms(params, xi, order)
-    rows = [f]
-    if order >= 1:
-        for j in range(7):
-            rows.append(f * g[j])
+    # the xi >= 0 half, the only half the inversion transforms
+    if order == 0:
+        return _char_terms(params, _half_xi(grid), False)[0][None, :]
+    f, g, s = _grad_terms(params, grid)
+    rows = np.empty((36 if order >= 2 else 8, f.size), dtype=complex)
+    rows[0] = f
+    np.multiply(f, g, out=rows[1:8])
     if order >= 2:
-        for k_, j_ in _PAIRS:
-            rows.append(f * (g[k_] * g[j_] + h[k_, j_]))
-    return np.array(rows)
+        h = _psi_hess(-_half_xi(grid), s)
+        for row, (k_, j_) in zip(rows[8:], _PAIRS):
+            np.multiply(f, g[k_] * g[j_] + h[k_, j_], out=row)
+    return rows
+
+
+def _char_rows(params: GtsParams, grid: FourierGrid, order: int):
+    # The rows on the symmetric frequency grid xi_q = (q - m/2) beta_step,
+    # q = 0..m: the xi >= 0 half and its Hermitian mirror r(-xi) = conj r(xi)
+    half = _half_rows(params, grid, order)
+    return np.concatenate((np.conj(half[:, :0:-1]), half), axis=1)
 
 
 @lru_cache(maxsize=2)
@@ -348,6 +403,18 @@ def _pull_back_phase(grid: FourierGrid) -> np.ndarray:
     return _read_only(_half_weights(grid)[1] * shift)[0]
 
 
+def _transform_half(half: np.ndarray, grid: FourierGrid) -> np.ndarray:
+    # f(x_k) on the m+1 output points from rows on xi_q = q beta_step,
+    # q = 0..m/2: twice the real part of the half-spectrum sum
+    h = grid.m // 2
+    phase = _half_weights(grid)[1]
+    transform = _bluestein(h + 1, grid.m + 1, -grid.delta, grid.s - h)
+    out = np.empty((half.shape[0], grid.m + 1))
+    for row, dst in zip(half, out):
+        dst[:] = transform(row * phase).real
+    return out
+
+
 def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
     """Inverse transform of char-function sample rows, one fractional FFT each.
 
@@ -359,20 +426,16 @@ def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
     imaginary residue of the full sum; it must stay below 1e-8 on the leading
     8 rows and below 1e-6 (1 + max|f|) on second-order rows.
     """
-    m, h = grid.m, grid.m // 2
+    h = grid.m // 2
     scale = grid.beta_step / (2.0 * math.pi)
-    wq, phase = _half_weights(grid)
-    transform = _bluestein(h + 1, m + 1, -grid.delta, grid.s - h)
-    out = np.empty((rows.shape[0], m + 1))
-    for b in range(0, rows.shape[0], _ROW_BATCH):
-        blk = rows[b : b + _ROW_BATCH]
+    wq = _half_weights(grid)[0]
+    out = _transform_half(rows[:, h:], grid)
+    for i, (r, f) in enumerate(zip(rows, out)):
         # einsum, not @: a threaded BLAS product costs more than it saves here
-        bounds = scale * np.einsum("rq,q->r", np.abs(blk[:, h:] - np.conj(blk[:, h::-1])), wq)
-        out[b : b + _ROW_BATCH] = transform(blk[:, h:] * phase).real
-        for i, bound in enumerate(bounds, start=b):
-            limit = 1e-8 if i < 8 else 1e-6 * (1.0 + float(np.abs(out[i]).max()))
-            if bound > limit:
-                raise GridError(f"imaginary residue {bound:.3e} in row {i} exceeds {limit:.3e}")
+        bound = scale * np.einsum("q,q->", np.abs(r[h:] - np.conj(r[h::-1])), wq)
+        limit = 1e-8 if i < 8 else 1e-6 * (1.0 + float(np.abs(f).max()))
+        if bound > limit:
+            raise GridError(f"imaginary residue {bound:.3e} in row {i} exceeds {limit:.3e}")
     return out
 
 
@@ -424,9 +487,10 @@ def spectral_tables(params: GtsParams, grid: FourierGrid, order: int = 0):
     the 28 upper-triangle second-derivative rows (order 2).  The fitter asks
     for orders 0 and 1 only and gets its Hessian through :func:`_pull_back`;
     order 2 is the direct path that the tests check that Hessian against.
+    Only the xi >= 0 half is evaluated and transformed; its rows are
+    Hermitian by construction, so no asymmetry gate applies to them.
     """
-    rows = _char_rows(params, grid, order)
-    vals = _invert_rows(rows, grid)
+    vals = _transform_half(_half_rows(params, grid, order), grid)
     return _output_points(grid), vals
 
 
@@ -452,7 +516,7 @@ def density_table(params: GtsParams, grid: FourierGrid, with_derivatives: bool =
         x=x_full[:m],
         f=f_full[:m],
         F=cdf[:m],
-        df=vals[1:8, :m].copy() if with_derivatives else None,
+        df=vals[1:8, :m] if with_derivatives else None,
         params=params,
         grid=grid,
     )

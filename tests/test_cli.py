@@ -265,6 +265,7 @@ def test_unknown_config_key(sp_json, tmp_path):
         ("synth_n", True),
         ("levels", 0.05),
         ("levels", [0.05, "x"]),
+        ("levels", []),
         ("interval", None),
         ("max_iter", 0),
         ("step_damping", 0),

@@ -142,6 +142,24 @@ def test_adjoint_hessian_matches_direct_rows(asset, small_sample, btc_sample):
     assert ll2 == ll1 and np.array_equal(score2, score1)
 
 
+def test_hessian_shares_the_inversion_char_terms(small_sample, monkeypatch):
+    # the order-2 objective evaluates F and dPsi once, for the order-1
+    # inversion, and its Hessian contraction reads them back
+    from gtsfit import spectral
+
+    calls = []
+    real = spectral._char_terms
+
+    def counting(params, xi, grad):
+        calls.append(grad)
+        return real(params, xi, grad)
+
+    monkeypatch.setattr(spectral, "_char_terms", counting)
+    spectral._grad_terms.cache_clear()
+    observed_hessian(small_sample, SP)
+    assert calls == [True]
+
+
 def test_default_init_valid(small_sample):
     init = default_init(small_sample)
     init.validate()

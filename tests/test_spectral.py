@@ -7,7 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gtsfit.gts_model import GtsParams, _psi_grad, _psi_hess, _side_parts, char_fn, cumulants
+from gtsfit.gts_model import (
+    _SIDE_INDEX,
+    GtsParams,
+    _psi_grad,
+    _psi_hess,
+    _side_hess,
+    _side_parts,
+    char_fn,
+    cumulants,
+)
 from gtsfit.spectral import (
     _CSV_BLOCK_ROWS,
     _CUBIC,
@@ -20,7 +29,10 @@ from gtsfit.spectral import (
     _composite_weights,
     _cumulative,
     _fast_len,
+    _grad_terms,
+    _half_rows,
     _half_weights,
+    _half_xi,
     _interp4,
     _invert_rows,
     _nc_exact,
@@ -29,6 +41,7 @@ from gtsfit.spectral import (
     _pull_back,
     _pull_back_phase,
     _weight_harmonics,
+    _workspace,
     cdf_at,
     choose_grid,
     density_table,
@@ -307,10 +320,93 @@ def test_char_rows_share_one_exponent_evaluation(params, order):
         h = _psi_hess(-xi, s)
         want += [f * (g[k] * g[j] + h[k, j]) for k, j in _PAIRS]
     assert np.array_equal(_char_rows(params, grid, order), np.array(want))
+    # the rows the inversion transforms are the xi >= 0 half of those
+    assert np.array_equal(_half_rows(params, grid, order), np.array(want)[:, grid.m // 2 :])
+
+
+@pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_spectral_tables_match_full_row_inversion(params, order):
+    # transforming the half directly gives the same bits as inverting the
+    # full symmetric rows through the gated path
+    grid = _small_grid(params)
+    x, vals = spectral_tables(params, grid, order)
+    assert np.array_equal(x, _output_points(grid))
+    assert np.array_equal(vals, _invert_rows(_char_rows(params, grid, order), grid))
+
+
+@pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
+def test_side_hess_contraction_matches_dense(params):
+    # contracting each side's 3x3 block gives the dense (7, 7) contraction
+    # over _psi_hess bit for bit
+    xi = _half_xi(_small_grid(params))
+    s = _side_parts(params, -xi, with_psi=True)
+    rng = np.random.default_rng(5)
+    fd = rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size)
+    got = np.zeros((7, 7), dtype=complex)
+    for key, ix in _SIDE_INDEX.items():
+        got[np.ix_(ix, ix)] += np.einsum("kjq,q->kj", _side_hess(s[key]), fd)
+    assert np.array_equal(got, np.einsum("kjq,q->kj", _psi_hess(-xi, s), fd))
+
+
+def test_grad_terms_cache_is_read_only():
+    f, g, s = _grad_terms(SP, _small_grid(SP))
+    arrays = [f, g] + [v for d in s.values() for v in d.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_grad_terms_cache_keyed_on_values():
+    grid = _small_grid(SP)
+    _grad_terms.cache_clear()
+    first = _grad_terms(SP, grid)
+    # equal values in new objects hit
+    again = _grad_terms(GtsParams.from_vector(SP.to_vector()), dataclasses.replace(grid))
+    assert again is first and _grad_terms.cache_info().hits == 1
+    # a different parameter or a different grid misses
+    moved = dataclasses.replace(SP, mu=SP.mu + 1e-9)
+    assert _grad_terms(moved, grid) is not first
+    assert _grad_terms(SP, dataclasses.replace(grid, s=0.3)) is not first
+    assert _grad_terms.cache_info().misses == 3
+
+
+def test_grad_terms_cache_holds_no_order_0_terms_or_second_derivatives():
+    grid = _small_grid(SP)
+    q = grid.m // 2 + 1
+    _grad_terms.cache_clear()
+    spectral_tables(SP, grid, 0)
+    assert _grad_terms.cache_info().currsize == 0
+    spectral_tables(SP, grid, 2)
+    f, g, s = _grad_terms(SP, grid)
+    assert _grad_terms.cache_info().hits == 1
+    assert f.shape == (q,) and g.shape == (7, q)
+    assert all(v.shape == (q,) for d in s.values() for v in d.values() if isinstance(v, np.ndarray))
+
+
+def test_transform_result_survives_workspace_reuse():
+    # a plan's result is a fresh array: later transforms that reuse the
+    # workspace, of the same or a larger padded size, leave it unchanged
+    rng = np.random.default_rng(9)
+    small = _bluestein(200, 300, 1e-3, 0.0)
+    x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    got = small(x)
+    kept = got.copy()
+    assert not np.shares_memory(got, _workspace(small.size))
+    _workspace.cache_clear()
+    small(rng.standard_normal(200))
+    small(rng.standard_normal(200))
+    assert _workspace.cache_info().hits >= 1
+    large = _bluestein(900, 1500, 1e-3, 0.0)
+    large(rng.standard_normal((2, 900)))
+    assert large.size > small.size
+    assert np.array_equal(got, kept)
 
 
 def _clear_plan_caches():
-    for cached in (_bluestein, _fast_len, _half_weights, _pull_back_phase):
+    for cached in (_bluestein, _fast_len, _half_weights, _pull_back_phase, _grad_terms, _workspace):
         cached.cache_clear()
 
 
