@@ -1,4 +1,10 @@
-"""Command line interface: stats, fit, pdf, risk, vol, synth."""
+"""Command line interface: stats, fit, pdf, risk, vol, synth.
+
+Each command writes its artifacts through ``data``'s writers and returns an
+exit code; ``main`` then writes ``manifest.json`` whatever that code is.  A
+command that raises leaves no manifest: a ``NumericError`` (or an overflow)
+exits 4, an input, config or domain error exits 2.
+"""
 
 from __future__ import annotations
 
@@ -15,30 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, data, risk
-from .gts_model import DomainError, GtsParams, load_params, moment_stats, save_params
-from .mle import (
-    FitOptions,
-    FitStatus,
-    NonFiniteLikelihoodError,
-    SingularHessianError,
-    fit,
-    sample_inverse_cdf,
-    write_trace_csv,
-)
-from .risk import (
-    BracketEdgeError,
-    ContourError,
-    NoBracketError,
-    TailSide,
-    avar,
-    empirical_avar,
-    empirical_var,
-    prob_interval,
-    write_risk_csv,
-)
-from .special_linalg import ConvergenceError, PoleError, SingularMatrixError
-from .spectral import GridError, SpanError, _write_blocks, choose_grid, density_table, write_density_csv
+from . import __version__, data
+from .gts_model import GtsParams, load_params, moment_stats, save_params
+from .mle import FitOptions, FitStatus, fit, sample_inverse_cdf, write_trace_csv
+from .risk import TailSide, avar, empirical_avar, empirical_var, prob_interval, write_risk_csv
+from .special_linalg import NumericError
+from .spectral import choose_grid, density_table, write_density_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -46,21 +34,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NUMERIC = 4
 
 DEFAULT_LEVELS = (0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10)
-
-_NUMERIC_ERRORS = (
-    GridError,
-    SpanError,
-    ContourError,
-    BracketEdgeError,
-    NoBracketError,
-    SingularMatrixError,
-    ConvergenceError,
-    PoleError,
-    SingularHessianError,
-    NonFiniteLikelihoodError,
-    OverflowError,
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -72,16 +45,16 @@ class RunConfig:
     params_path: Optional[str] = None
     date_column: str = "Date"
     price_column: str = "Adj Close"
-    grid_m: int = 8196
+    grid_m: int = FitOptions.grid_m
     levels: Optional[tuple] = None
     output_dir: str = "."
     seed: int = 0
     window: Optional[str] = None
     synth_n: int = 4000
     interval: tuple = (-1.06, 1.23)
-    max_iter: int = 100
-    grad_tol: float = 1e-6
-    step_damping: int = 50
+    max_iter: int = FitOptions.max_iter
+    grad_tol: float = FitOptions.grad_tol
+    step_damping: int = FitOptions.step_damping
 
     def validate(self) -> None:
         if self.grid_m < 12 or self.grid_m % 12 != 0:
@@ -203,7 +176,7 @@ def _file_sha256(path: Optional[str]) -> Optional[str]:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_manifest(outdir: Path, cfg: RunConfig, command: str) -> None:
+def _write_manifest(cfg: RunConfig, command: str) -> None:
     # the output location is where the run is written, not what it computes
     settings = dataclasses.asdict(cfg)
     del settings["output_dir"]
@@ -215,9 +188,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig, command: str) -> None:
         "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
         "input_hash": _file_sha256(cfg.input_path or cfg.params_path),
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    data.write_json(_outdir(cfg) / "manifest.json", manifest)
 
 
 def _load_returns(cfg: RunConfig) -> data.ReturnSeries:
@@ -255,14 +226,12 @@ def cmd_stats(cfg: RunConfig) -> int:
         ("minimum", st.minimum, None),
         ("maximum", st.maximum, None),
     ]
-    header = "stat,empirical,theoretical" if theo else "stat,empirical"
-    with open(outdir / "stats.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for name, emp, th in rows:
-            line = f"{name},{emp:.17g}"
-            if theo:
-                line += "," + ("" if th is None else f"{th:.17g}")
-            fh.write(line + "\n")
+    names, emps, ths = zip(*rows)
+    header, template, cols = "stat,empirical", "%s,%.17g", [names, emps]
+    if theo:
+        header, template = header + ",theoretical", template + ",%s"
+        cols.append(["" if th is None else f"{th:.17g}" for th in ths])
+    data.write_csv(outdir / "stats.csv", header, template, cols)
     width = 12
     print(f"{'stat':<10}{'empirical':>{width}}" + (f"{'theoretical':>{width}}" if theo else ""))
     for name, emp, th in rows:
@@ -270,7 +239,6 @@ def cmd_stats(cfg: RunConfig) -> int:
         if theo:
             line += f"{th:>{width}.6g}" if th is not None else " " * width
         print(line)
-    _write_manifest(outdir, cfg, "stats")
     return EXIT_OK
 
 
@@ -291,7 +259,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     save_params(params, outdir / "params.json")
     write_trace_csv(trace, outdir / "trace.csv")
-    _write_manifest(outdir, cfg, "fit")
     last = trace.rows[-1]
     print(
         f"status {status.value}: {len(trace)} iterations, "
@@ -313,7 +280,6 @@ def cmd_pdf(cfg: RunConfig) -> int:
     p = prob_interval(table, lo, hi)
     print(f"{table.x.size} grid points on [{table.x[0]:.6g}, {table.x[-1]:.6g}]")
     print(f"P({lo:.6g} < X <= {hi:.6g}) = {p:.6g}")
-    _write_manifest(outdir, cfg, "pdf")
     return EXIT_OK
 
 
@@ -338,7 +304,6 @@ def cmd_risk(cfg: RunConfig) -> int:
     print(f"{'side':<10}{'level':>8}{'VaR':>12}{'AVaR':>12}")
     for r in reports:
         print(f"{r.side.value:<10}{r.level:>8.4g}{r.var:>12.6g}{r.avar:>12.6g}")
-    _write_manifest(outdir, cfg, "risk")
     return EXIT_OK
 
 
@@ -361,7 +326,6 @@ def cmd_vol(cfg: RunConfig) -> int:
         dates, vols = data.realized_vol(rets, w)
         data.write_value_csv(dates, vols, outdir / fname)
         print(f"{fname}: {len(vols)} rows (window {w})")
-    _write_manifest(outdir, cfg, "vol")
     return EXIT_OK
 
 
@@ -369,11 +333,8 @@ def cmd_synth(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     sample = sample_inverse_cdf(params, cfg.synth_n, cfg.seed, cfg.grid_m)
     outdir = _outdir(cfg)
-    with open(outdir / "synth.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("value\n")
-        _write_blocks(fh, "%.17g\n", [sample])
+    data.write_csv(outdir / "synth.csv", "value", "%.17g", [sample])
     print(f"wrote {sample.size} draws (seed {cfg.seed})")
-    _write_manifest(outdir, cfg, "synth")
     return EXIT_OK
 
 
@@ -391,8 +352,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg)
-    except _NUMERIC_ERRORS as exc:
+        code = _COMMANDS[args.command](cfg)
+        _write_manifest(cfg, args.command)
+        return code
+    except (NumericError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError, KeyError) as exc:

@@ -1,9 +1,15 @@
-"""Price series ingestion, log returns, realized volatility, sample stats."""
+"""Price series ingestion, log returns, realized volatility, sample stats.
+
+:func:`write_csv` and :func:`write_json` are the package's only file
+writers (UTF-8, LF line endings): every artifact is a header, a row
+template and its columns, or one JSON object.
+"""
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -12,6 +18,7 @@ import numpy as np
 
 TRADING_DAYS_MONTH = 21
 TRADING_DAYS_YEAR = 252
+_CSV_BLOCK_ROWS = 4096  # rows formatted per write by write_csv
 
 
 class ParseError(ValueError):
@@ -187,9 +194,29 @@ def summary_stats(values) -> SummaryStats:
     )
 
 
-def write_value_csv(dates, values, path) -> None:
-    """Two-column ``date,value`` CSV, ISO dates, UTF-8, LF line endings."""
+def write_csv(path, header: str, row_template: str, cols) -> None:
+    """CSV of ``header`` and one ``row_template % row`` line per row.
+
+    ``cols`` holds one equal-length sequence per field of the template:
+    numbers, or strings such as dates and blank cells.  Rows are formatted
+    and written in blocks of ``_CSV_BLOCK_ROWS``, so the file is never built
+    in memory.
+    """
+    row_template += "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("date,value\n")
-        for d, v in zip(dates, values):
-            fh.write(f"{d.isoformat()},{v:.17g}\n")
+        fh.write(header + "\n")
+        for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = [np.asarray(c[lo : lo + _CSV_BLOCK_ROWS]).tolist() for c in cols]
+            fh.write("".join([row_template % row for row in zip(*block)]))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with sorted keys, indent 2 and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_value_csv(dates, values, path) -> None:
+    """Two-column ``date,value`` CSV, ISO dates, 17 significant digits."""
+    write_csv(path, "date,value", "%s,%.17g", [[d.isoformat() for d in dates], values])

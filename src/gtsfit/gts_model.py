@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import write_json
 from .special_linalg import digamma_fn, gamma_fn, trigamma_fn
 
 BOUND_EPS = 1e-8
@@ -122,9 +123,7 @@ class GtsParams:
 
 
 def save_params(params: GtsParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, params.to_json())
 
 
 def load_params(path) -> GtsParams:

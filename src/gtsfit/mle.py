@@ -43,10 +43,11 @@ from typing import Optional
 
 import numpy as np
 
+from .data import DegenerateSampleError, write_csv
 from .gts_model import _SIDE_INDEX, DomainError, GtsParams, _side_hess
 from .risk import _quantile_clamped
-from .special_linalg import SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
-from .spectral import FourierGrid, SpanError, _grad_terms, _interp4, _pull_back, _stencil
+from .special_linalg import NumericError, SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
+from .spectral import DEFAULT_GRID_M, FourierGrid, SpanError, _grad_terms, _interp4, _pull_back, _stencil
 from .spectral import choose_grid, density_table, spectral_tables
 
 _DENSITY_FLOOR = 1e-300
@@ -59,20 +60,20 @@ class FitStatus(enum.Enum):
     MAX_ITER = "MaxIter"
 
 
-class SingularHessianError(RuntimeError):
-    """Newton system could not be solved; carries the trace so far."""
+class _FitError(NumericError, RuntimeError):
+    """A fit stopped on a numeric failure; carries the trace so far."""
 
     def __init__(self, message: str, trace: "FitTrace") -> None:
         super().__init__(message)
         self.trace = trace
 
 
-class NonFiniteLikelihoodError(RuntimeError):
+class SingularHessianError(_FitError):
+    """Newton system could not be solved."""
+
+
+class NonFiniteLikelihoodError(_FitError):
     """Log likelihood evaluated to a non-finite value."""
-
-    def __init__(self, message: str, trace: "FitTrace") -> None:
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class FitOptions:
     max_iter: int = 100
     grad_tol: float = 1e-6
     step_damping: int = 50
-    grid_m: int = 8192
+    grid_m: int = DEFAULT_GRID_M
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,10 @@ _TRACE_HEADER = (
 def write_trace_csv(trace: FitTrace, path) -> None:
     """Trace CSV: iteration, the seven parameters, log ML, gradient norm,
     largest Hessian eigenvalue.  17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_TRACE_HEADER + "\n")
-        for r in trace.rows:
-            vals = list(r.params.to_vector()) + [r.log_ml, r.grad_norm, r.max_eigenvalue]
-            fh.write(str(r.iteration) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n")
+    rows = trace.rows
+    vals = [(*r.params.to_vector(), r.log_ml, r.grad_norm, r.max_eigenvalue) for r in rows]
+    cols = [[r.iteration for r in rows], *zip(*vals)]
+    write_csv(path, _TRACE_HEADER, "%d" + ",%.17g" * 10, cols)
 
 
 def _scatter4(x: np.ndarray, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -170,7 +170,7 @@ def _objective(
     return ll, score, curv.real - u @ u.T, grid
 
 
-def loglik(returns, params: GtsParams, grid_m: int = 8192) -> float:
+def loglik(returns, params: GtsParams, grid_m: int = DEFAULT_GRID_M) -> float:
     """Sample log likelihood from the tabulated density.
 
     Densities are floored at 1e-300 before the log; observations outside the
@@ -181,14 +181,14 @@ def loglik(returns, params: GtsParams, grid_m: int = 8192) -> float:
     return ll
 
 
-def score(returns, params: GtsParams, grid_m: int = 8192) -> np.ndarray:
+def score(returns, params: GtsParams, grid_m: int = DEFAULT_GRID_M) -> np.ndarray:
     """Gradient of the log likelihood in the canonical parameter order."""
     data = np.asarray(returns, dtype=float)
     _, g, _, _ = _objective(params, data, grid_m, order=1)
     return g
 
 
-def observed_hessian(returns, params: GtsParams, grid_m: int = 8192) -> SymMatrix7:
+def observed_hessian(returns, params: GtsParams, grid_m: int = DEFAULT_GRID_M) -> SymMatrix7:
     """Observed-information Hessian of the log likelihood."""
     data = np.asarray(returns, dtype=float)
     _, _, h, _ = _objective(params, data, grid_m, order=2)
@@ -200,6 +200,8 @@ def default_init(returns) -> GtsParams:
     tempering at 2/std, intensities splitting the variance evenly."""
     y = np.asarray(returns, dtype=float)
     s = float(y.std(ddof=1))
+    if not s > 0.0:
+        raise DegenerateSampleError(f"sample standard deviation {s:.6g}: a fit needs a positive one")
     b = 0.5
     lam = 2.0 / s
     a = s * s / 2.0 * lam ** (2.0 - b) / gamma_fn(2.0 - b)
@@ -301,7 +303,7 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
     return GtsParams.from_vector(v), trace, status
 
 
-def sample_inverse_cdf(params: GtsParams, n: int, seed: int, grid_m: int = 8192) -> np.ndarray:
+def sample_inverse_cdf(params: GtsParams, n: int, seed: int, grid_m: int = DEFAULT_GRID_M) -> np.ndarray:
     """Seeded synthetic sample by inverse-CDF transform of uniform draws.
 
     The n uniform levels come from one ``default_rng(seed)`` call.  They are

@@ -31,7 +31,9 @@ from typing import Optional
 
 import numpy as np
 
+from .data import write_csv
 from .gts_model import GtsParams, char_exponent
+from .special_linalg import NumericError
 from .spectral import DensityTable, _composite_weights, _cubic_diffs, _read_only, cdf_at
 
 
@@ -49,15 +51,15 @@ class EmptySampleError(ValueError):
     pass
 
 
-class NoBracketError(ValueError):
+class NoBracketError(NumericError, ValueError):
     """Polynomial has no sign change on [0, 1]."""
 
 
-class BracketEdgeError(ValueError):
+class BracketEdgeError(NumericError, ValueError):
     """CDF bracket sits too close to the table edge for the cubic stencil."""
 
 
-class ContourError(RuntimeError):
+class ContourError(NumericError, RuntimeError):
     """Contour quadrature failed its accuracy contract."""
 
 
@@ -383,22 +385,19 @@ def write_risk_csv(reports, path) -> None:
     stay blank.
     """
 
-    def cell(v) -> str:
-        return "" if v is None else f"{v:.4f}"
+    def cells(vals) -> list:
+        return ["" if v is None else f"{v:.4f}" for v in vals]
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("side,level,empirical_var,theoretical_var,empirical_avar,theoretical_avar\n")
-        for r in reports:
-            fh.write(
-                ",".join(
-                    (
-                        r.side.value,
-                        f"{r.level:.4f}",
-                        cell(r.empirical_var),
-                        cell(r.var),
-                        cell(r.empirical_avar),
-                        cell(r.avar),
-                    )
-                )
-                + "\n"
-            )
+    write_csv(
+        path,
+        "side,level,empirical_var,theoretical_var,empirical_avar,theoretical_avar",
+        "%s,%.4f,%s,%.4f,%s,%.4f",
+        [
+            [r.side.value for r in reports],
+            [r.level for r in reports],
+            cells(r.empirical_var for r in reports),
+            [r.var for r in reports],
+            cells(r.empirical_avar for r in reports),
+            [r.avar for r in reports],
+        ],
+    )

@@ -5,6 +5,9 @@ solve/eigenvalue kernels used by the likelihood optimizer, which call
 LAPACK through numpy.  Everything here is plain double precision; accuracy
 targets are 1e-12 relative for the gamma function on |x| <= 30 and 1e-10
 for the psi functions.
+
+:class:`NumericError` is the base of every numeric failure in the package;
+input and domain errors do not have it.
 """
 
 from __future__ import annotations
@@ -14,15 +17,19 @@ import math
 import numpy as np
 
 
-class PoleError(ValueError):
+class NumericError(Exception):
+    """A numerical contract failed; the command line exits 4."""
+
+
+class PoleError(NumericError, ValueError):
     """Argument sits on a pole of the requested function."""
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(NumericError, ValueError):
     """Matrix is numerically rank deficient."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericError, RuntimeError):
     """Iterative kernel failed to reach its tolerance."""
 
 

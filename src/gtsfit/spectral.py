@@ -67,21 +67,23 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import _CSV_BLOCK_ROWS, write_csv  # the block size stays importable here
 from .gts_model import GtsParams, _char_terms, _psi_hess, char_fn, cumulants
+from .special_linalg import NumericError
 
 _TAIL_TOL = 1e-12
 _IMG_TOL = 1e-11
 _MASS_TOL = 1e-4
 _WINDOW_TOL = 1e-9
 _NODE_CAP = 2**21  # 5x the largest regular grid (BTC, refine 2, coverage 80)
-_CSV_BLOCK_ROWS = 4096  # rows formatted per write by the CSV writers
+DEFAULT_GRID_M = 8196  # the library's and the command line's default transform size
 
 
-class GridError(RuntimeError):
+class GridError(NumericError, RuntimeError):
     """Grid construction or inversion failed its accuracy contract."""
 
 
-class SpanError(ValueError):
+class SpanError(NumericError, ValueError):
     """Requested point lies outside the table's span."""
 
 
@@ -270,7 +272,7 @@ def frft(seq, delta: float, s: float = 0.0) -> np.ndarray:
 
 def choose_grid(
     params: GtsParams,
-    m_target: int = 8192,
+    m_target: int = DEFAULT_GRID_M,
     coverage: float = 40.0,
     refine: int = 1,
 ) -> FourierGrid:
@@ -573,22 +575,13 @@ _CSV_HEADER = (
 )
 
 
-def _write_blocks(fh, row_template: str, cols) -> None:
-    # One %-template per row, _CSV_BLOCK_ROWS rows per write: the columns are
-    # formatted a block at a time, so the file is never built in memory.
-    for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in cols]).tolist()
-        fh.write("".join([row_template % tuple(row) for row in block]))
-
-
 def write_density_csv(table: DensityTable, path, extra=None) -> None:
     """Write the table as CSV, 17 significant digits, LF line endings.
 
     The header always carries the seven derivative columns; the cells stay
     blank when the table was built without derivative rows.  ``extra``, a
     ``(name, values)`` pair with one value per table node, adds one trailing
-    column (the CLI's ``normal`` reference density).  Rows are formatted and
-    written in blocks of ``_CSV_BLOCK_ROWS``.
+    column (the CLI's ``normal`` reference density).
     """
     cols = [table.x, table.f, table.F]
     cells = ["%.17g"] * 3
@@ -603,6 +596,4 @@ def write_density_csv(table: DensityTable, path, extra=None) -> None:
         cols.append(values)
         cells.append("%.17g")
         header += "," + name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        _write_blocks(fh, ",".join(cells) + "\n", cols)
+    write_csv(path, header, ",".join(cells), cols)

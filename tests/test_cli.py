@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gtsfit import cli
 from gtsfit.cli import (
     _CONFIG_TYPES,
     DEFAULT_LEVELS,
@@ -13,12 +14,16 @@ from gtsfit.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
     EXIT_OK,
+    ConfigError,
     RunConfig,
     main,
 )
-from gtsfit.gts_model import GtsParams, load_params, moment_stats, save_params
-from gtsfit.mle import sample_inverse_cdf
-from gtsfit.spectral import choose_grid, density_table, write_density_csv
+from gtsfit.data import DegenerateSampleError, EmptyDataError, ParseError
+from gtsfit.gts_model import BranchCutError, DomainError, GtsParams, load_params, moment_stats, save_params
+from gtsfit.mle import NonFiniteLikelihoodError, SingularHessianError, sample_inverse_cdf
+from gtsfit.risk import BracketEdgeError, ContourError, DivergentContourError, EmptySampleError, NoBracketError
+from gtsfit.special_linalg import ConvergenceError, NumericError, PoleError, SingularMatrixError
+from gtsfit.spectral import GridError, SpanError, choose_grid, density_table, write_density_csv
 
 from conftest import SP_PARAMS
 
@@ -304,3 +309,84 @@ def test_grid_above_node_cap_exit(sp_json, tmp_path):
     cfg.write_text(json.dumps({"grid_m": 12 * (2**21 // 12 + 1)}), encoding="utf-8")
     code = main(["pdf", "--config", str(cfg), "--params", str(sp_json), "--out", str(tmp_path)])
     assert code == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize(
+    "cls, builtin",
+    [
+        (GridError, RuntimeError),
+        (SpanError, ValueError),
+        (ContourError, RuntimeError),
+        (DivergentContourError, RuntimeError),
+        (BracketEdgeError, ValueError),
+        (NoBracketError, ValueError),
+        (SingularMatrixError, ValueError),
+        (ConvergenceError, RuntimeError),
+        (PoleError, ValueError),
+        (SingularHessianError, RuntimeError),
+        (NonFiniteLikelihoodError, RuntimeError),
+    ],
+)
+def test_numeric_errors_share_one_base(cls, builtin):
+    # exit 4 is decided by the base; the builtin base keeps old handlers working
+    assert issubclass(cls, NumericError)
+    assert issubclass(cls, builtin)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [BranchCutError, DomainError, ConfigError, ParseError, EmptyDataError, DegenerateSampleError, EmptySampleError],
+)
+def test_input_errors_are_not_numeric(cls):
+    assert issubclass(cls, ValueError)
+    assert not issubclass(cls, NumericError)
+
+
+def test_numeric_error_exits_4_without_manifest(sp_json, tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        cli._outdir(cfg)
+        raise GridError("contract broken")
+
+    monkeypatch.setitem(cli._COMMANDS, "pdf", boom)
+    out = tmp_path / "o"
+    assert main(["pdf", "--params", str(sp_json), "--out", str(out)]) == EXIT_NUMERIC
+    assert "contract broken" in capsys.readouterr().err
+    assert out.is_dir() and not (out / "manifest.json").exists()
+
+
+def test_manifest_written_whatever_code_returned(sp_json, tmp_path, monkeypatch):
+    # main writes the manifest once, after the command, for any exit code
+    monkeypatch.setitem(cli._COMMANDS, "pdf", lambda cfg: EXIT_NO_CONVERGENCE)
+    out = tmp_path / "o"
+    assert main(["pdf", "--params", str(sp_json), "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["command"] == "pdf"
+
+
+def _price_csv(path, prices):
+    import datetime
+
+    start = datetime.date(2022, 1, 3)
+    lines = ["Date,Adj Close"]
+    lines += [f"{(start + datetime.timedelta(days=k)).isoformat()},{float(p)!r}" for k, p in enumerate(prices)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_fit_constant_series_is_input_error(tmp_path, capsys):
+    # zero sample deviation has no moment-matched start: a typed input error
+    prices = _price_csv(tmp_path / "flat.csv", np.full(600, 100.0))
+    out = tmp_path / "o"
+    assert main(["fit", "--input", str(prices), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "standard deviation 0" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_fit_tiny_variance_series_is_numeric_error(tmp_path, capsys):
+    # a positive but tiny deviation starts the fit, whose grid cannot cover the tail
+    u = np.random.default_rng(3).random(600)
+    prices = _price_csv(tmp_path / "tiny.csv", 100.0 * (1.0 + 1e-9 * u))
+    out = tmp_path / "o"
+    assert main(["fit", "--input", str(prices), "--out", str(out)]) == EXIT_NUMERIC
+    assert "characteristic function tail not covered" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

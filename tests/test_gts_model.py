@@ -290,3 +290,10 @@ def test_second_cumulant_positive(bp, ap, lp):
     kap = cumulants(params, k_max=4).values
     assert kap[1] > 0.0
     assert kap[3] > 0.0
+
+
+def test_params_json_has_lf_line_endings(tmp_path, sp_params):
+    path = tmp_path / "params.json"
+    save_params(sp_params, path)
+    blob = path.read_bytes()
+    assert b"\r" not in blob and blob.endswith(b"}\n")

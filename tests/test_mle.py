@@ -285,3 +285,23 @@ def test_fit_rejects_bad_init(small_sample):
     bad = GtsParams(0.0, 1.4, 0.5, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         fit(small_sample, init=bad, options=FitOptions(max_iter=2))
+
+
+def test_trace_csv_bytes_match_cell_formatting(tmp_path):
+    # the shared CSV writer against the per-cell f-string format, on the
+    # float values whose spelling is easiest to get wrong
+    odd = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, -1e308)
+    rows = [
+        TraceRow(1, GtsParams(*odd), -0.0, 5e-324, float("nan"), 3),
+        TraceRow(12, SP, 1e308, float("inf"), -float("inf"), 0),
+    ]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(FitTrace(rows=rows), path)
+    want = (
+        "iteration,mu,beta_plus,beta_minus,alpha_plus,alpha_minus,"
+        "lambda_plus,lambda_minus,log_ml,grad_norm,max_eigenvalue\n"
+    )
+    for r in rows:
+        vals = list(r.params.to_vector()) + [r.log_ml, r.grad_norm, r.max_eigenvalue]
+        want += str(r.iteration) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
