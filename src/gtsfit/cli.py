@@ -169,11 +169,17 @@ def _outdir(cfg: RunConfig) -> Path:
     return path
 
 
-def _file_sha256(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _input_sha256(cfg: RunConfig) -> Optional[str]:
+    # the one input file's SHA-256; a run given both --input and --params
+    # hashes the two digests, so the parameter file's content counts too
+    digests = []
+    for path in (cfg.input_path, cfg.params_path):
+        if path is not None:
+            with open(path, "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+    if len(digests) == 2:
+        return hashlib.sha256(",".join(digests).encode("utf-8")).hexdigest()
+    return digests[0] if digests else None
 
 
 def _write_manifest(cfg: RunConfig, command: str) -> None:
@@ -186,7 +192,7 @@ def _write_manifest(cfg: RunConfig, command: str) -> None:
         "version": __version__,
         "command": command,
         "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
-        "input_hash": _file_sha256(cfg.input_path or cfg.params_path),
+        "input_hash": _input_sha256(cfg),
     }
     data.write_json(_outdir(cfg) / "manifest.json", manifest)
 

@@ -3,6 +3,19 @@
 :func:`write_csv` and :func:`write_json` are the package's only file
 writers (UTF-8, LF line endings): every artifact is a header, a row
 template and its columns, or one JSON object.
+
+``%.17g`` cells are printed from numpy blocks, with the same bytes as
+``'%.17g' % v``.  With X = floor(log10 |v|), D = |v| 10**(16 - X) is
+formed in ``np.longdouble`` from a table of correctly rounded powers of
+ten; R = rint(D) is then the correctly rounded 17-digit integer of v
+whenever |D - R| <= 1/2 - margin, since the table entry and the product
+each round by at most half an ulp, 1e17 * eps / 2 for D < 1e17, and the
+margin is twice their sum.  The %g text is assembled from R's digits and X.
+Any cell outside that proof (|D - R| past the bound, D outside
+[1e16, 1e17), v zero, inf or nan) is printed by ``'%.17g' % v``; where the
+long double is no wider than a double the margin is at least 1/4 and every
+cell is.  Exact ties, such as 2**50 + 0.25, always fall back, so their
+rounding is ``%``'s half to even.
 """
 
 from __future__ import annotations
@@ -11,7 +24,9 @@ import csv
 import datetime as dt
 import json
 import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -19,6 +34,10 @@ import numpy as np
 TRADING_DAYS_MONTH = 21
 TRADING_DAYS_YEAR = 252
 _CSV_BLOCK_ROWS = 4096  # rows formatted per write by write_csv
+_G17_SLOT = 29  # bytes of one %.17g slot: "-", "0.000", 17 digits and ".", "e+308"
+# bound on |D - rint(D)| past which _g17_slots defers to '%.17g' %: twice the
+# 1e17 * eps rounding of a table power of ten and one product, D < 1e17
+_G17_MARGIN = 2e17 * float(np.finfo(np.longdouble).eps)
 
 
 class ParseError(ValueError):
@@ -194,20 +213,156 @@ def summary_stats(values) -> SummaryStats:
     )
 
 
+def _pow10_ratio(k: int, bits: int) -> tuple:
+    # 10**k as m * 2**e with a ``bits``-bit m, rounded to nearest, ties to even
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    e = num.bit_length() - den.bit_length() - bits
+    while True:
+        q, r = divmod(num << -e, den) if e < 0 else divmod(num, den << e)
+        if q.bit_length() <= bits:
+            break
+        e += 1
+    d = den if e < 0 else den << e
+    return q + (2 * r > d or (2 * r == d and q & 1)), e
+
+
+@lru_cache(maxsize=1)
+def _pow10_table() -> np.ndarray:
+    # 10**k for k = -292..340, each correctly rounded to np.longdouble; its
+    # mantissa is assembled from 32-bit chunks, which every step holds exactly
+    bits = np.finfo(np.longdouble).nmant + 1
+    out = np.empty(633, dtype=np.longdouble)
+    for i, k in enumerate(range(-292, 341)):
+        m, e = _pow10_ratio(k, bits)
+        acc = np.longdouble(0)
+        for shift in range(32 * (m.bit_length() // 32), -1, -32):
+            acc = acc * np.longdouble(2**32) + np.longdouble((m >> shift) & 0xFFFFFFFF)
+        out[i] = np.ldexp(acc, e)
+    return out
+
+
+def _text_slots(texts, width=None) -> tuple:
+    # byte slots of ``width`` (default: the longest) and their keep mask
+    raw = [t.encode("utf-8") for t in texts]
+    width = width or max(map(len, raw), default=0)
+    buf = np.array(raw, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(raw), -1)
+    lens = np.array([len(b) for b in raw], dtype=np.int64)
+    return buf[:, :width], np.arange(width) < lens[:, None]
+
+
+def _g17_round(v: np.ndarray) -> tuple:
+    # (certified, X, R) per cell of the float64 array v: X its decimal
+    # exponent and R its correctly rounded 17-digit integer, as uint64,
+    # wherever the error bound certifies them (module docstring)
+    fast = np.isfinite(v) & (v != 0.0)
+    a = np.where(fast, np.abs(v), 1.0)
+    # X in [-324, 308]; a rounded log10 next to a power of ten can be one
+    # off, and then D leaves [1e16, 1e17) and the cell falls back
+    x = np.floor(np.log10(a)).astype(np.int64)
+    d = a.astype(np.longdouble) * _pow10_table()[16 - x + 292]
+    r = np.rint(d)
+    # d - r is exact and has few bits, so float64 holds it exactly
+    fast &= (d >= 1e16) & (r < 1e17) & (np.abs((d - r).astype(np.float64)) <= 0.5 - _G17_MARGIN)
+    return fast, x, np.where(fast, r, 1e16).astype(np.uint64)
+
+
+def _g17_slots(v: np.ndarray) -> tuple:
+    # ``'%.17g' % x`` for every x of the float64 array v, as _G17_SLOT-byte
+    # slots (sign, "0.000", 17 digits with the point shifted in, "e+308")
+    # and the mask of the bytes each cell keeps; both are built byte-major,
+    # one row of v.size per slot byte, and returned transposed
+    if _G17_MARGIN >= 0.25:
+        # a long double no wider than a double certifies nothing
+        return _text_slots(["%.17g" % t for t in v.tolist()], _G17_SLOT)
+    n = v.size
+    fast, x, r = _g17_round(v)
+    # the 17 digits of r, two uint32 halves, one digit row each
+    hi, lo = (h.astype(np.uint32) for h in np.divmod(r, 10**9))
+    dig = np.zeros((19, n), dtype=np.uint8)  # digit j in row j + 1; rows 0, 18 spare
+    for half, digit_rows in ((lo, range(17, 8, -1)), (hi, range(8, 0, -1))):
+        for j in digit_rows:
+            nxt = half // np.uint32(10)
+            dig[j] = half - nxt * np.uint32(10)
+            half = nxt
+    last = ((dig[1:18] != 0) * np.arange(17, dtype=np.uint8)[:, None]).max(axis=0)
+    dig += ord("0")
+    # %g: fixed notation for -4 <= x < 17, trailing fraction zeros dropped
+    fixed = (x >= -4) & (x < 17)
+    lead = np.where(fixed, np.maximum(x + 1, 0), 1).astype(np.int8)  # digits before the point
+    kept = np.maximum(last + 1, lead).astype(np.int8)  # digits written
+    col = np.arange(18, dtype=np.int8)[:, None]
+    point = col == lead
+    buf = np.empty((_G17_SLOT, n), dtype=np.uint8)
+    keep = np.empty((_G17_SLOT, n), dtype=bool)
+    buf[0], keep[0] = ord("-"), v < 0.0
+    buf[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+    keep[1:6] = fixed & (x < 0) & (np.arange(5)[:, None] < 1 - x)
+    # column c shows digit c left of the point, c - 1 right of it; the
+    # selects are uint8 blends b + s * (a - b), which wrap exactly
+    area = dig[:-1] + (col < lead) * (dig[1:] - dig[:-1])
+    buf[6:24] = area + point * (np.uint8(ord(".")) - area)
+    keep[6:24] = (col <= kept) & (~point | ((lead >= 1) & (kept > lead)))
+    ex = np.abs(x).astype(np.uint16)
+    buf[24], buf[25] = ord("e"), np.where(x < 0, ord("-"), ord("+"))
+    buf[26:29] = np.stack([ex // 100, ex // 10 % 10, ex % 10]) + ord("0")
+    keep[24:29] = ~fixed
+    keep[26] &= ex >= 100
+    buf, keep = buf.T, keep.T
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        buf[slow], keep[slow] = _text_slots(["%.17g" % t for t in v[slow].tolist()], _G17_SLOT)
+    return buf, keep
+
+
+def _block_text(segments, block) -> np.ndarray:
+    # one block of rows: each literal and field becomes a slot of bytes per
+    # row with a mask of the bytes it keeps, and the masked bytes of all
+    # slots, row by row, are the text
+    rows = len(block[0])
+    fields = iter(block)
+    slots = []
+    for text, spec in segments:
+        if spec is None:
+            lit = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+            slots.append((np.broadcast_to(lit, (rows, lit.size)),
+                          np.broadcast_to(True, (rows, lit.size))))
+            continue
+        vals = next(fields)
+        if spec == "%.17g" and vals.dtype.kind in "biuf":
+            slots.append(_g17_slots(vals.astype(np.float64)))
+        else:
+            slots.append(_text_slots([spec % t for t in vals.tolist()]))
+    # row-major copies (the %.17g slots come transposed) mask fastest; a
+    # boolean mask, unlike np.compress, builds no 8-byte index per kept byte
+    width = sum(b.shape[1] for b, _ in slots)
+    buf = np.concatenate([b for b, _ in slots], axis=1, out=np.empty((rows, width), np.uint8))
+    keep = np.concatenate([m for _, m in slots], axis=1, out=np.empty((rows, width), bool))
+    return buf[keep]
+
+
 def write_csv(path, header: str, row_template: str, cols) -> None:
     """CSV of ``header`` and one ``row_template % row`` line per row.
 
     ``cols`` holds one equal-length sequence per field of the template:
     numbers, or strings such as dates and blank cells.  Rows are formatted
     and written in blocks of ``_CSV_BLOCK_ROWS``, so the file is never built
-    in memory.
+    in memory.  A ``%.17g`` field of a numeric column is printed by
+    :func:`_g17_slots`; every other field is ``spec % value``.  The bytes
+    equal ``row_template % row`` for every row.
     """
-    row_template += "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    pieces = re.split(r"(%%|%[^a-zA-Z%]*[a-zA-Z])", row_template + "\n")
+    segments = [  # (literal text, None) or (None, field spec)
+        (None, p) if i % 2 and p != "%%" else (p.replace("%%", "%"), None)
+        for i, p in enumerate(pieces)
+        if p
+    ]
+    if len(cols) != sum(spec is not None for _, spec in segments):
+        raise TypeError(f"{row_template!r} needs one column per field, got {len(cols)}")
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode("utf-8"))
         for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-            block = [np.asarray(c[lo : lo + _CSV_BLOCK_ROWS]).tolist() for c in cols]
-            fh.write("".join([row_template % row for row in zip(*block)]))
+            block = [np.asarray(c[lo : lo + _CSV_BLOCK_ROWS]) for c in cols]
+            fh.write(_block_text(segments, block))
 
 
 def write_json(path, obj) -> None:

@@ -97,33 +97,27 @@ def _read_only(*arrays):
 @lru_cache(maxsize=1)
 def _nc_exact():
     # Closed Newton-Cotes weights on a 12-subinterval panel and the partial
-    # integrals int_0^r L_j(t) dt, both exact over the rationals.
-    nodes = [Fraction(j) for j in range(13)]
-    # Lagrange cardinal polynomials in ascending coefficients, integrated
-    # termwise; partial[r][j] = int_0^r L_j(t) dt, full weight = partial[12].
-    full = []
+    # integrals int_0^r L_j(t) dt, both exact over the rationals;
+    # partial[r][j] = int_0^r L_j(t) dt, full weight = partial[12].  The
+    # cardinal polynomial L_j is P(t) / (t - j) / prod_{i != j} (j - i) with
+    # P(t) = prod_i (t - i): one synthetic division per node, integrated
+    # termwise in integers over the common denominator lcm(1..13).
+    poly = [1]  # ascending coefficients of P
+    for i in range(13):
+        poly = [b - i * a for a, b in zip(poly + [0], [0] + poly)]
+    lcm = math.lcm(*range(1, 14))
+    # antiderivative of t^p at r, times lcm
+    anti = [[lcm // (p + 1) * r ** (p + 1) for p in range(13)] for r in range(13)]
     partial = [[Fraction(0)] * 13 for _ in range(13)]
     for j in range(13):
-        coeffs = [Fraction(1)]
-        den = Fraction(1)
-        for i in range(13):
-            if i == j:
-                continue
-            # multiply by (t - node_i)
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for p, c in enumerate(coeffs):
-                nxt[p] += c * (-nodes[i])
-                nxt[p + 1] += c
-            coeffs = nxt
-            den *= nodes[j] - nodes[i]
-        anti = [Fraction(0)] + [c / (p + 1) for p, c in enumerate(coeffs)]
-        for r in range(13):
-            acc = Fraction(0)
-            for p in range(len(anti) - 1, -1, -1):
-                acc = acc * r + anti[p]
-            partial[r][j] = acc / den
-        full.append(partial[12][j])
-    return full, partial
+        quot, carry = [0] * 13, 0
+        for p in range(13, 0, -1):
+            carry = poly[p] + j * carry
+            quot[p - 1] = carry
+        den = lcm * math.prod(j - i for i in range(13) if i != j)
+        for r in range(1, 13):
+            partial[r][j] = Fraction(sum(c * t for c, t in zip(quot, anti[r])), den)
+    return list(partial[12]), partial
 
 
 def newton_cotes_weights() -> np.ndarray:

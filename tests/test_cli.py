@@ -1,6 +1,7 @@
 """End-to-end command line runs through main(); exit codes and artifacts."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from gtsfit.risk import BracketEdgeError, ContourError, DivergentContourError, E
 from gtsfit.special_linalg import ConvergenceError, NumericError, PoleError, SingularMatrixError
 from gtsfit.spectral import GridError, SpanError, choose_grid, density_table, write_density_csv
 
-from conftest import SP_PARAMS
+from conftest import BTC_PARAMS, SP_PARAMS
 
 
 @pytest.fixture
@@ -201,6 +202,29 @@ def test_manifest_deterministic(sp_json, tmp_path):
     assert manifest["tool"] == "gtsfit"
     assert manifest["command"] == "pdf"
     assert set(manifest) == {"tool", "version", "command", "config_hash", "input_hash"}
+
+
+def test_manifest_input_hash_covers_both_files(returns_csv, tmp_path):
+    # one --params path holding SP and then BTC parameters: the same paths,
+    # so the same config_hash, but the runs differ and so must input_hash
+    params = tmp_path / "p.json"
+    manifests = []
+    for name, p in (("sp", SP_PARAMS), ("btc", BTC_PARAMS)):
+        save_params(p, params)
+        out = tmp_path / name
+        code = main(["stats", "--input", str(returns_csv), "--params", str(params), "--out", str(out)])
+        assert code == EXIT_OK
+        manifests.append(json.loads((out / "manifest.json").read_bytes()))
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+    assert manifests[0]["input_hash"] != manifests[1]["input_hash"]
+
+
+def test_manifest_input_hash_of_one_file(sp_json, tmp_path):
+    # a run given one file keeps that file's plain SHA-256
+    code = main(["pdf", "--params", str(sp_json), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_bytes())
+    assert manifest["input_hash"] == hashlib.sha256(sp_json.read_bytes()).hexdigest()
 
 
 def test_missing_input_is_input_error(tmp_path):

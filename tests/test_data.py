@@ -1,13 +1,16 @@
 """CSV ingestion, return construction, realized volatility, sample summaries."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gtsfit import data
 from gtsfit.data import (
+    _CSV_BLOCK_ROWS,
     ColumnSpec,
     DegenerateSampleError,
     EmptyDataError,
@@ -18,6 +21,7 @@ from gtsfit.data import (
     log_returns,
     realized_vol,
     summary_stats,
+    write_csv,
     write_value_csv,
 )
 
@@ -216,3 +220,118 @@ def test_write_value_csv(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "date,value"
     assert lines[1] == "2024-02-01,1.25"
+
+
+# --- the %.17g writer ------------------------------------------------------
+
+
+@pytest.fixture(params=["native", "all-percent"])
+def g17_margin(request, monkeypatch):
+    # "all-percent": a margin of 0.25 or more sends every cell through
+    # '%.17g' %, the path of a platform whose long double is a double
+    if request.param == "all-percent":
+        monkeypatch.setattr(data, "_G17_MARGIN", 0.25)
+    return request.param
+
+
+def _written(path, header, template, cols):
+    write_csv(path, header, template, cols)
+    return path.read_bytes()
+
+
+def _assert_g17(tmp_path, values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _written(tmp_path / "g.csv", "v", "%.17g", [values]).decode("ascii").split("\n")
+    want = ["v", *("%.17g" % v for v in values.tolist()), ""]
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def _ulps(values, steps):
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return np.concatenate([(bits + s).view(np.float64) for s in steps])
+
+
+def test_g17_powers_of_ten(tmp_path, g17_margin):
+    # every 10**k a double reaches, with its 1- and 2-ulp neighbours, both signs
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    v = _ulps(p10, (-2, -1, 0, 1, 2))
+    _assert_g17(tmp_path, np.concatenate([v, -v]))
+
+
+def test_g17_specials_and_switch_points(tmp_path, g17_margin):
+    subnormals = [5e-324, 1e-323, 2.5e-320, 1.2345678901234567e-310, 2.2250738585072009e-308]
+    switches = [1e-4, 9.9999999999999991e-05, 1e16, 1e17, 99999999999999984.0, 123456789012345680.0]
+    v = [0.0, -0.0, math.inf, -math.inf, math.nan, *subnormals, *switches]
+    v += _ulps(switches, (-3, -2, -1, 1, 2, 3)).tolist()
+    v += [0.1, 0.5, 1.0, 100.0, 1.5e300, 2.0**-1074 * 3]
+    _assert_g17(tmp_path, v + [-x for x in v])
+
+
+def test_g17_ties_fall_back_and_round_half_even(tmp_path, g17_margin, monkeypatch):
+    # 2**50 + 0.25 j has 16 integer digits, so its 17-digit rounding is an
+    # exact tie for odd j; no error bound certifies a tie, so each one must
+    # reach '%.17g' %, which rounds it half to even
+    texts = []
+    real = data._text_slots
+
+    def spy(t, width=None):
+        texts.extend(t)
+        return real(t, width)
+
+    monkeypatch.setattr(data, "_text_slots", spy)
+    v = 2.0**50 + 0.25 * np.arange(4000)
+    _assert_g17(tmp_path, v)
+    ties = ["%.17g" % x for x in v[1::2].tolist()]
+    assert set(ties) <= set(texts)
+    assert ties[:2] == ["1125899906842624.2", "1125899906842624.8"]
+
+
+def test_g17_random_bit_patterns(tmp_path, g17_margin):
+    # 10**6 uniformly random 64-bit patterns: every exponent, subnormals, nan
+    bits = np.random.default_rng(2024).integers(0, 2**64, 10**6, dtype=np.uint64)
+    _assert_g17(tmp_path, bits.view(np.float64))
+
+
+def test_g17_power_table_correctly_rounded():
+    table = data._pow10_table()
+    for k, entry in zip(range(-292, 341), table):
+        err = abs(Fraction(*entry.as_integer_ratio()) - Fraction(10) ** k)
+        assert err <= Fraction(*np.spacing(entry).as_integer_ratio()) / 2, k
+
+
+def test_g17_table_built_only_for_g17_fields(tmp_path):
+    data._pow10_table.cache_clear()
+    write_csv(tmp_path / "a.csv", "a,b", "%s,%.4f", [["x", "y"], [1.0, 2.0]])
+    assert data._pow10_table.cache_info().currsize == 0
+
+
+def test_write_csv_mixed_template(tmp_path, g17_margin):
+    # every kind of field over several blocks, against one row_template % row
+    # per row: %d, %s (ASCII and not), %.4f, %.17g of floats and of ints,
+    # blank fields, a literal percent, nan and inf cells
+    n = 2 * _CSV_BLOCK_ROWS + 37
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    f[::97], f[5::101], f[7::103] = math.nan, math.inf, -math.inf
+    g = rng.standard_normal(n)
+    g[3::89] = 0.0
+    cols = [
+        np.arange(n) - 5,
+        [f"s{i}" if i % 3 else "é" for i in range(n)],
+        rng.standard_normal(n) * 100.0,
+        f,
+        ["" if i % 4 else f"{x:.17g}" for i, x in enumerate(g)],
+        rng.integers(-(10**6), 10**6, n),
+        g,
+    ]
+    template = "%d,%s,%.4f,%.17g,,%s,%.17g,100%%,%.17g"
+    want = "h\n" + "".join(template % row + "\n" for row in zip(*[np.asarray(c).tolist() for c in cols]))
+    assert _written(tmp_path / "m.csv", "h", template, cols) == want.encode("utf-8")
+
+
+def test_write_csv_rejects_column_count(tmp_path):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "c.csv", "a,b", "%s,%.17g", [["x"]])
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "c.csv", "a", "%.17g", [[1.0], [2.0]])
