@@ -6,16 +6,20 @@ template and its columns, or one JSON object.
 
 ``%.17g`` cells are printed from numpy blocks, with the same bytes as
 ``'%.17g' % v``.  With X = floor(log10 |v|), D = |v| 10**(16 - X) is
-formed in ``np.longdouble`` from a table of correctly rounded powers of
-ten; R = rint(D) is then the correctly rounded 17-digit integer of v
-whenever |D - R| <= 1/2 - margin, since the table entry and the product
-each round by at most half an ulp, 1e17 * eps / 2 for D < 1e17, and the
-margin is twice their sum.  The %g text is assembled from R's digits and X.
-Any cell outside that proof (|D - R| past the bound, D outside
-[1e16, 1e17), v zero, inf or nan) is printed by ``'%.17g' % v``; where the
-long double is no wider than a double the margin is at least 1/4 and every
-cell is.  Exact ties, such as 2**50 + 0.25, always fall back, so their
-rounding is ``%``'s half to even.
+formed in ``np.longdouble`` from a table of powers of ten that numpy's
+decimal parser (the C library's ``strtold``) rounds correctly, as the tests
+check entry by entry.  R = rint(D) is then the correctly rounded 17-digit
+integer of v whenever |D - R| <= 1/2 - margin, since the table entry and
+the product each round by at most half an ulp, 1e17 * eps / 2 for
+D < 1e17, and the margin is twice their sum.  The %g text is assembled
+from R's digits and X.  Any cell outside that proof (|D - R| past the
+bound, D outside [1e16, 1e17), v zero, inf or nan) is printed by
+``'%.17g' % v``; where the long double is no wider than a double the
+margin is at least 1/4 and every cell is.  Exact ties, such as
+2**50 + 0.25, always fall back, so their rounding is ``%``'s half to even.
+
+Every field of a block of rows is a fixed-width slot of bytes per row, NUL
+in the bytes it leaves unwritten; the text of the block is its nonzero bytes.
 """
 
 from __future__ import annotations
@@ -213,41 +217,18 @@ def summary_stats(values) -> SummaryStats:
     )
 
 
-def _pow10_ratio(k: int, bits: int) -> tuple:
-    # 10**k as m * 2**e with a ``bits``-bit m, rounded to nearest, ties to even
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    e = num.bit_length() - den.bit_length() - bits
-    while True:
-        q, r = divmod(num << -e, den) if e < 0 else divmod(num, den << e)
-        if q.bit_length() <= bits:
-            break
-        e += 1
-    d = den if e < 0 else den << e
-    return q + (2 * r > d or (2 * r == d and q & 1)), e
-
-
 @lru_cache(maxsize=1)
 def _pow10_table() -> np.ndarray:
-    # 10**k for k = -292..340, each correctly rounded to np.longdouble; its
-    # mantissa is assembled from 32-bit chunks, which every step holds exactly
-    bits = np.finfo(np.longdouble).nmant + 1
-    out = np.empty(633, dtype=np.longdouble)
-    for i, k in enumerate(range(-292, 341)):
-        m, e = _pow10_ratio(k, bits)
-        acc = np.longdouble(0)
-        for shift in range(32 * (m.bit_length() // 32), -1, -32):
-            acc = acc * np.longdouble(2**32) + np.longdouble((m >> shift) & 0xFFFFFFFF)
-        out[i] = np.ldexp(acc, e)
-    return out
+    # 10**k for k = -292..340, each correctly rounded to np.longdouble by
+    # numpy's decimal parser (the C library's strtold)
+    return np.array([f"1e{k}" for k in range(-292, 341)], dtype=np.longdouble)
 
 
-def _text_slots(texts, width=None) -> tuple:
-    # byte slots of ``width`` (default: the longest) and their keep mask
+def _text_slots(texts, width=None) -> np.ndarray:
+    # byte slots of ``width`` (default: the longest), NUL in the unused bytes
     raw = [t.encode("utf-8") for t in texts]
     width = width or max(map(len, raw), default=0)
-    buf = np.array(raw, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(raw), -1)
-    lens = np.array([len(b) for b in raw], dtype=np.int64)
-    return buf[:, :width], np.arange(width) < lens[:, None]
+    return np.array(raw, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(raw), -1)
 
 
 def _g17_round(v: np.ndarray) -> tuple:
@@ -266,11 +247,11 @@ def _g17_round(v: np.ndarray) -> tuple:
     return fast, x, np.where(fast, r, 1e16).astype(np.uint64)
 
 
-def _g17_slots(v: np.ndarray) -> tuple:
-    # ``'%.17g' % x`` for every x of the float64 array v, as _G17_SLOT-byte
-    # slots (sign, "0.000", 17 digits with the point shifted in, "e+308")
-    # and the mask of the bytes each cell keeps; both are built byte-major,
-    # one row of v.size per slot byte, and returned transposed
+def _g17_slots(v: np.ndarray) -> np.ndarray:
+    # ``'%.17g' % x`` for every x of the float64 array v, as NUL-padded
+    # _G17_SLOT-byte slots (sign, "0.000", 17 digits with the point shifted
+    # in, "e+308"); built byte-major, one row of v.size per slot byte, and
+    # returned transposed
     if _G17_MARGIN >= 0.25:
         # a long double no wider than a double certifies nothing
         return _text_slots(["%.17g" % t for t in v.tolist()], _G17_SLOT)
@@ -292,52 +273,52 @@ def _g17_slots(v: np.ndarray) -> tuple:
     kept = np.maximum(last + 1, lead).astype(np.int8)  # digits written
     col = np.arange(18, dtype=np.int8)[:, None]
     point = col == lead
+    # each byte is its character times whether the cell writes it, so the
+    # bytes a cell leaves out are NUL
     buf = np.empty((_G17_SLOT, n), dtype=np.uint8)
-    keep = np.empty((_G17_SLOT, n), dtype=bool)
-    buf[0], keep[0] = ord("-"), v < 0.0
-    buf[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
-    keep[1:6] = fixed & (x < 0) & (np.arange(5)[:, None] < 1 - x)
+    buf[0] = (v < 0.0) * np.uint8(ord("-"))
+    zeros = fixed & (x < 0) & (np.arange(5)[:, None] < 1 - x)
+    buf[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None] * zeros
     # column c shows digit c left of the point, c - 1 right of it; the
     # selects are uint8 blends b + s * (a - b), which wrap exactly
     area = dig[:-1] + (col < lead) * (dig[1:] - dig[:-1])
-    buf[6:24] = area + point * (np.uint8(ord(".")) - area)
-    keep[6:24] = (col <= kept) & (~point | ((lead >= 1) & (kept > lead)))
+    shown = (col <= kept) & (~point | ((lead >= 1) & (kept > lead)))
+    buf[6:24] = (area + point * (np.uint8(ord(".")) - area)) * shown
     ex = np.abs(x).astype(np.uint16)
     buf[24], buf[25] = ord("e"), np.where(x < 0, ord("-"), ord("+"))
     buf[26:29] = np.stack([ex // 100, ex // 10 % 10, ex % 10]) + ord("0")
-    keep[24:29] = ~fixed
-    keep[26] &= ex >= 100
-    buf, keep = buf.T, keep.T
+    buf[24:29] *= ~fixed
+    buf[26] *= ex >= 100
+    buf = buf.T
     slow = np.flatnonzero(~fast)
     if slow.size:
-        buf[slow], keep[slow] = _text_slots(["%.17g" % t for t in v[slow].tolist()], _G17_SLOT)
-    return buf, keep
+        buf[slow] = _text_slots(["%.17g" % t for t in v[slow].tolist()], _G17_SLOT)
+    return buf
 
 
 def _block_text(segments, block) -> np.ndarray:
-    # one block of rows: each literal and field becomes a slot of bytes per
-    # row with a mask of the bytes it keeps, and the masked bytes of all
-    # slots, row by row, are the text
+    # one block of rows: each literal and field becomes a NUL-padded slot of
+    # bytes per row, and the nonzero bytes of all slots, row by row, are the
+    # text; a boolean mask, unlike np.compress, builds no 8-byte index per
+    # kept byte
     rows = len(block[0])
     fields = iter(block)
     slots = []
     for text, spec in segments:
         if spec is None:
             lit = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-            slots.append((np.broadcast_to(lit, (rows, lit.size)),
-                          np.broadcast_to(True, (rows, lit.size))))
+            slots.append(np.broadcast_to(lit, (rows, lit.size)))
             continue
         vals = next(fields)
         if spec == "%.17g" and vals.dtype.kind in "biuf":
             slots.append(_g17_slots(vals.astype(np.float64)))
         else:
             slots.append(_text_slots([spec % t for t in vals.tolist()]))
-    # row-major copies (the %.17g slots come transposed) mask fastest; a
-    # boolean mask, unlike np.compress, builds no 8-byte index per kept byte
-    width = sum(b.shape[1] for b, _ in slots)
-    buf = np.concatenate([b for b, _ in slots], axis=1, out=np.empty((rows, width), np.uint8))
-    keep = np.concatenate([m for _, m in slots], axis=1, out=np.empty((rows, width), bool))
-    return buf[keep]
+    # concatenate would lay the block out like its mostly transposed %.17g
+    # slots; the mask selects fastest from a row-major copy
+    width = sum(slot.shape[1] for slot in slots)
+    buf = np.concatenate(slots, axis=1, out=np.empty((rows, width), np.uint8))
+    return buf[buf != 0]
 
 
 def write_csv(path, header: str, row_template: str, cols) -> None:
@@ -348,7 +329,9 @@ def write_csv(path, header: str, row_template: str, cols) -> None:
     and written in blocks of ``_CSV_BLOCK_ROWS``, so the file is never built
     in memory.  A ``%.17g`` field of a numeric column is printed by
     :func:`_g17_slots`; every other field is ``spec % value``.  The bytes
-    equal ``row_template % row`` for every row.
+    equal ``row_template % row`` for every row.  No text field may contain
+    NUL, the byte that marks unwritten slot bytes: the callers' fields are
+    ISO dates, fixed names, blanks and ``%``-formatted numbers.
     """
     pieces = re.split(r"(%%|%[^a-zA-Z%]*[a-zA-Z])", row_template + "\n")
     segments = [  # (literal text, None) or (None, field spec)

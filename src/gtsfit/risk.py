@@ -267,12 +267,13 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
         return math.exp(-sgn * q * k + re_psi) / (abs(z) ** 2 * 2.0 * math.pi)
 
     radius = 50.0
-    while max(envelope(radius), envelope(-radius)) >= 1e-14:
-        radius *= 2.0
-        if radius > 1e5:
+    while (env := max(envelope(radius), envelope(-radius))) >= 1e-14:
+        if radius * 2.0 > 1e5:
             raise DivergentContourError(
-                f"contour integrand failed to decay below 1e-14 within R = 1e5 (q={q})"
+                f"contour integrand failed to decay below 1e-14 within R = 1e5 (q={q}): "
+                f"envelope {env:.3e} at R = {radius:g}"
             )
+        radius *= 2.0
     # a 12-point panel must stay well inside one pole width, else the
     # equispaced interpolant rings against 1/z^2 and biases the integral
     h_target = min(q / 32.0, 2.0 * math.pi / (32.0 * (abs(k) + 1.0)), 0.02)
@@ -282,8 +283,10 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     vals = np.exp(1j * z * k + psi) / (z * z)
     # einsum, not @: a threaded BLAS product costs more than it saves here
     acc = -h * np.einsum("q,q->", wt, vals) / (2.0 * math.pi)
-    if abs(acc.imag) > 1e-7 * (1.0 + abs(acc.real)):
-        raise ContourError(f"imaginary residue {acc.imag:.3e} in contour quadrature")
+    if abs(acc.imag) > (limit := 1e-7 * (1.0 + abs(acc.real))):
+        raise ContourError(
+            f"imaginary residue {acc.imag:.3e} in contour quadrature exceeds 1e-7 (1 + |real|) = {limit:.3e}"
+        )
     return float(acc.real)
 
 

@@ -151,30 +151,37 @@ def _weight_harmonics() -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierGrid:
-    """Transform geometry: frequency span ``a``, ``n`` panels of order ``q``."""
+    """Transform geometry: frequency span ``a`` over ``n`` panels of 12 nodes,
+    and an output window of width ``span`` around ``center``, shifted by
+    ``s`` output steps.  The m = 12 n steps of both grids are derived."""
 
     a: float
-    q: int
     n: int
-    m: int
-    beta_step: float
-    gamma_step: float
-    delta: float
-    s: float
+    span: float
     center: float
+    s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.q != 12:
-            raise ValueError(f"panel order must be 12, got {self.q}")
-        if self.m != self.q * self.n:
-            raise ValueError(f"m must equal q*n, got m={self.m}, q*n={self.q * self.n}")
-        if not (self.a > 0 and self.beta_step > 0 and self.gamma_step > 0):
-            raise ValueError("grid steps must be positive")
+        if not (self.a > 0 and self.n >= 1 and self.span > 0):
+            raise ValueError(f"need a > 0, n >= 1 and span > 0, got {self.a}, {self.n}, {self.span}")
         if not 0.0 <= self.s < 1.0:
             raise ValueError(f"fractional shift must lie in [0, 1), got {self.s}")
-        ref = self.beta_step * self.gamma_step / (2.0 * math.pi)
-        if abs(self.delta - ref) > 1e-12 * abs(ref):
-            raise ValueError("delta inconsistent with beta_step * gamma_step / (2 pi)")
+
+    @property
+    def m(self) -> int:
+        return 12 * self.n
+
+    @property
+    def beta_step(self) -> float:
+        return self.a / self.m
+
+    @property
+    def gamma_step(self) -> float:
+        return self.span / self.m
+
+    @property
+    def delta(self) -> float:
+        return self.beta_step * self.gamma_step / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -299,10 +306,13 @@ def choose_grid(
     span = 2.0 * half
 
     a = 1.0
-    while max(abs(char_fn(params, a / 2.0)), abs(char_fn(params, -a / 2.0))) >= _TAIL_TOL:
+    while (tail := max(abs(char_fn(params, a / 2.0)), abs(char_fn(params, -a / 2.0)))) >= _TAIL_TOL:
+        if a * 2.0 > 1e6:
+            raise GridError(
+                f"characteristic function tail not covered below a = 1e6: "
+                f"max |F(+-a/2)| = {tail:.3e} at a = {a:g}, bound {_TAIL_TOL:g}"
+            )
         a *= 2.0
-        if a > 1e6:
-            raise GridError("characteristic function tail not covered below a = 1e6")
 
     xi_c = np.linspace(-a / 2.0, a / 2.0, 4097)
     big_b = float(np.trapezoid(np.abs(char_fn(params, xi_c)), xi_c)) / (2.0 * math.pi)
@@ -315,22 +325,9 @@ def choose_grid(
         p_req = max(p_req, need * 12.0 / r)
     m_img = p_req * a / (2.0 * math.pi)
     n = max(math.ceil(m_target / 12.0), math.ceil(m_img / 12.0)) * refine
-    m = 12 * n
-    if m > _NODE_CAP:
-        raise GridError(f"grid needs m = {m} nodes, above the cap of {_NODE_CAP}")
-    beta = a / m
-    gamma = span / m
-    return FourierGrid(
-        a=a,
-        q=12,
-        n=n,
-        m=m,
-        beta_step=beta,
-        gamma_step=gamma,
-        delta=beta * gamma / (2.0 * math.pi),
-        s=0.0,
-        center=center,
-    )
+    if 12 * n > _NODE_CAP:
+        raise GridError(f"grid needs m = {12 * n} nodes, above the cap of {_NODE_CAP}")
+    return FourierGrid(a=a, n=n, span=span, center=center)
 
 
 _PAIRS = [(k, j) for k in range(7) for j in range(k, 7)]
@@ -501,10 +498,10 @@ def density_table(params: GtsParams, grid: FourierGrid, with_derivatives: bool =
     x_full, vals = spectral_tables(params, grid, order=1 if with_derivatives else 0)
     f_full = vals[0]
     if float(f_full.min()) < -1e-10:
-        raise GridError(f"negative density {f_full.min():.3e} beyond tolerance")
+        raise GridError(f"negative density {f_full.min():.3e} below the bound -1e-10")
     cdf, total = _cumulative(f_full, grid)
     if abs(total - 1.0) > _MASS_TOL:
-        raise GridError(f"grid too coarse: recovered mass {total:.6f}")
+        raise GridError(f"grid too coarse: recovered mass {total:.9f} outside 1 +- {_MASS_TOL:g}")
     cdf = np.clip(cdf / total, 0.0, 1.0)
     np.maximum.accumulate(cdf, out=cdf)
     m = grid.m

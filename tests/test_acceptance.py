@@ -195,15 +195,10 @@ def test_06_transform_oracles():
         assert np.max(np.abs(got - dft)) < 1e-10, f"m={m}"
 
     # Gaussian round trip: inversion of a closed-form characteristic function
-    mean, a, span, n = 0.3, 40.0, 16.0, 150
-    m = 12 * n
-    beta = a / m
-    gamma = span / m
-    grid = FourierGrid(
-        a=a, q=12, n=n, m=m, beta_step=beta, gamma_step=gamma,
-        delta=beta * gamma / (2.0 * math.pi), s=0.0, center=mean,
-    )
-    xi = (np.arange(m + 1) - m / 2.0) * beta
+    mean = 0.3
+    grid = FourierGrid(a=40.0, n=150, span=16.0, center=mean)
+    m = grid.m
+    xi = (np.arange(m + 1) - m / 2.0) * grid.beta_step
     rows = np.exp(-0.5 * xi**2 - 1j * mean * xi)[None, :]
     dens = _invert_rows(rows, grid)[0]
     x = _output_points(grid)

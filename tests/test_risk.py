@@ -10,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gtsfit import risk
 from gtsfit.risk import (
     BracketEdgeError,
+    ContourError,
     DivergentContourError,
     EmptySampleError,
     NoBracketError,
@@ -33,7 +35,7 @@ from gtsfit.risk import (
     write_risk_csv,
 )
 from gtsfit.cli import DEFAULT_LEVELS
-from gtsfit.gts_model import save_params
+from gtsfit.gts_model import GtsParams, save_params
 from gtsfit.spectral import _composite_weights, cdf_at
 
 
@@ -309,6 +311,21 @@ def test_payoff_parity(sp_params):
 def test_payoff_far_tail_vanishes(sp_params):
     assert tail_payoff_fourier(sp_params, 40.0, 0.1, PayoffSide.CALL) < 1e-8
     assert tail_payoff_fourier(sp_params, -40.0, 0.1, PayoffSide.PUT) < 1e-8
+
+
+def test_payoff_failures_quote_value_and_bound(sp_params, monkeypatch):
+    # alpha ~ 0: Psi stays near 0 and the envelope only falls like 1/R^2
+    flat = GtsParams(0.0, 0.95, 0.95, 1e-8, 1e-8, 0.1, 0.1)
+    with pytest.raises(DivergentContourError, match=r"envelope 6\.065e-11 at R = 51200"):
+        tail_payoff_fourier(flat, 0.0, 0.05, PayoffSide.CALL)
+    # a constant phase of 0.5 on every node turns part of the payoff imaginary
+    def rotated(*args):
+        z, psi, wt = _contour(*args)
+        return z, psi + 0.5j, wt
+
+    monkeypatch.setattr(risk, "_contour", rotated)
+    with pytest.raises(ContourError, match=r"imaginary residue 4\.563e-02 .* = 1\.084e-07"):
+        tail_payoff_fourier(sp_params, 1.0, 0.4, PayoffSide.CALL)
 
 
 def test_payoff_strip_validation(sp_params):

@@ -198,7 +198,7 @@ def test_grid_centered_on_mean():
 def test_grid_rejects_untempered_tail():
     # almost-stable density: characteristic function decays far too slowly
     p = GtsParams(0.0, 0.95, 0.95, 1e-8, 1e-8, 0.1, 0.1)
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match=r"max \|F\(\+-a/2\)\| = 9\.955e-01 at a = 524288, bound 1e-12"):
         choose_grid(p, m_target=96)
 
 
@@ -214,33 +214,20 @@ def test_grid_validates_arguments():
         choose_grid(SP, m_target=8192, refine=0)
 
 
-def test_fourier_grid_consistency_checks():
-    with pytest.raises(ValueError):
-        FourierGrid(
-            a=64.0, q=12, n=10, m=121, beta_step=64 / 120, gamma_step=0.1,
-            delta=64 / 120 * 0.1 / (2 * math.pi), s=0.0, center=0.0,
-        )
-    with pytest.raises(ValueError):
-        FourierGrid(
-            a=64.0, q=12, n=10, m=120, beta_step=64 / 120, gamma_step=0.1,
-            delta=1.0, s=0.0, center=0.0,
-        )
+def test_fourier_grid_rejects_bad_geometry():
+    for bad in ({"a": 0.0}, {"n": 0}, {"span": -1.0}, {"s": 1.0}, {"s": -0.1}):
+        with pytest.raises(ValueError):
+            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
+    g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0)
+    assert (g.m, g.beta_step, g.gamma_step, g.s) == (120, 64.0 / 120, 8.0 / 120, 0.0)
 
 
 # -- inversion engine ---------------------------------------------------------
 
 
 def _small_grid(params, n=24, coverage=20.0):
-    a = 64.0
-    m = 12 * n
     cum = cumulants(params, 2)
-    span = coverage * math.sqrt(cum.kappa(2))
-    beta = a / m
-    gamma = span / m
-    return FourierGrid(
-        a=a, q=12, n=n, m=m, beta_step=beta, gamma_step=gamma,
-        delta=beta * gamma / (2.0 * math.pi), s=0.0, center=cum.kappa(1),
-    )
+    return FourierGrid(a=64.0, n=n, span=coverage * math.sqrt(cum.kappa(2)), center=cum.kappa(1))
 
 
 def test_two_stage_matches_direct_sum():
@@ -465,15 +452,9 @@ def test_non_hermitian_second_order_row_rejected():
 
 def test_normal_density_round_trip():
     # Feed the engine an exact Gaussian transform; recover the pdf on [-6, 6].
-    n = 150
-    m = 12 * n
-    a, span = 40.0, 16.0
-    beta, gamma = a / m, span / m
-    grid = FourierGrid(
-        a=a, q=12, n=n, m=m, beta_step=beta, gamma_step=gamma,
-        delta=beta * gamma / (2.0 * math.pi), s=0.0, center=0.0,
-    )
-    xi = (np.arange(m + 1) - m / 2.0) * beta
+    grid = FourierGrid(a=40.0, n=150, span=16.0, center=0.0)
+    m = grid.m
+    xi = (np.arange(m + 1) - m / 2.0) * grid.beta_step
     mean = 0.3
     rows = np.exp(-0.5 * xi * xi - 1j * mean * xi)[None, :]
     f = _invert_rows(rows, grid)[0]
@@ -484,15 +465,9 @@ def test_normal_density_round_trip():
 
 
 def test_cumulative_normal():
-    n = 150
-    m = 12 * n
-    a, span = 40.0, 16.0
-    beta, gamma = a / m, span / m
-    grid = FourierGrid(
-        a=a, q=12, n=n, m=m, beta_step=beta, gamma_step=gamma,
-        delta=beta * gamma / (2.0 * math.pi), s=0.0, center=0.0,
-    )
-    xi = (np.arange(m + 1) - m / 2.0) * beta
+    grid = FourierGrid(a=40.0, n=150, span=16.0, center=0.0)
+    m = grid.m
+    xi = (np.arange(m + 1) - m / 2.0) * grid.beta_step
     f = _invert_rows(np.exp(-0.5 * xi * xi)[None, :], grid)[0]
     cdf, total = _cumulative(f, grid)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -517,6 +492,14 @@ def test_table_invariants(sp_table):
     assert t.F[-1] > 1.0 - 1e-8
     mass = np.trapezoid(t.f, t.x)
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def test_table_failures_quote_value_and_bound():
+    # two panels ring far below zero; a window of 4 std loses 6 % of the mass
+    with pytest.raises(GridError, match=r"negative density -4\.338e-01 below the bound -1e-10"):
+        density_table(SP, _small_grid(SP, n=2))
+    with pytest.raises(GridError, match=r"recovered mass 0\.942374748 outside 1 \+- 0\.0001"):
+        density_table(SP, _small_grid(SP, coverage=4.0))
 
 
 def test_table_mean_and_variance(sp_table):
