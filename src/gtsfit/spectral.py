@@ -28,6 +28,17 @@ The exact transpose of that map, the pull-back, takes weights on the output
 points back to the xi >= 0 samples in one more fractional FFT; the fitter's
 observed Hessian uses it instead of inverting second-derivative rows.
 
+Because the fractional FFT decouples the output grid from the frequency
+grid, a :class:`FourierGrid` may carry an output-node range
+``[k_lo, k_hi)``: the inversion then computes only those nodes of the m+1,
+with the plan ``(m/2+1, k_hi-k_lo, -delta, s - m/2 + k_lo)``, and the
+pull-back takes its weights on those nodes only, with the plan
+``(k_hi-k_lo, m/2+1, -delta, 0)`` and the phase
+exp(2 pi i q (s - m/2 + k_lo) delta).  The fitter's grid carries the range
+its sample reads; ``choose_grid`` never sets one, and a range covering all
+m+1 nodes is stored as the default, so full-grid callers build the same
+plans as without ranges.  ``density_table`` refuses a ranged grid.
+
 Grid selection sizes the output window from the slower tempering rate,
 doubles the frequency span until the characteristic function tail is
 negligible, then enlarges the panel count until the nearest aliased
@@ -42,7 +53,8 @@ array it hands out, except the workspace, is read-only:
 
 - the Bluestein plan (chirps, kernel FFT, padded size), keyed on
   ``(m, n_out, delta, s)``, 4 plans, that is one grid's inversion and
-  pull-back plans and the next grid's;
+  pull-back plans and the next grid's (2 plans per grid, ranged or not; a
+  range shrinks ``n_out`` and with it the padded size);
 - the half-spectrum weights and the pull-back phase, keyed on the frozen
   :class:`FourierGrid`, 2 grids each;
 - the 5-smooth transform length, keyed on the requested length, 16 entries;
@@ -61,6 +73,7 @@ array it hands out, except the workspace, is read-only:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,19 +166,37 @@ def _weight_harmonics() -> np.ndarray:
 class FourierGrid:
     """Transform geometry: frequency span ``a`` over ``n`` panels of 12 nodes,
     and an output window of width ``span`` around ``center``, shifted by
-    ``s`` output steps.  The m = 12 n steps of both grids are derived."""
+    ``s`` output steps.  The m = 12 n steps of both grids are derived.
+
+    The inversion computes the output nodes ``k_lo <= k < k_hi`` of the m+1;
+    ``k_hi=None`` runs to node m, and a ``k_hi`` of m+1 is stored as None,
+    so a range covering every node is the default grid."""
 
     a: float
     n: int
     span: float
     center: float
     s: float = 0.0
+    k_lo: int = 0
+    k_hi: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", operator.index(self.n))
         if not (self.a > 0 and self.n >= 1 and self.span > 0):
             raise ValueError(f"need a > 0, n >= 1 and span > 0, got {self.a}, {self.n}, {self.span}")
         if not 0.0 <= self.s < 1.0:
             raise ValueError(f"fractional shift must lie in [0, 1), got {self.s}")
+        lo = operator.index(self.k_lo)
+        hi = self.m + 1 if self.k_hi is None else operator.index(self.k_hi)
+        if not 0 <= lo < hi <= self.m + 1:
+            raise ValueError(f"output-node range [{lo}, {hi}) not inside [0, {self.m + 1})")
+        object.__setattr__(self, "k_lo", lo)
+        object.__setattr__(self, "k_hi", None if hi == self.m + 1 else hi)
+
+    @property
+    def nodes(self) -> range:
+        """The output nodes the inversion computes."""
+        return range(self.k_lo, self.m + 1 if self.k_hi is None else self.k_hi)
 
     @property
     def m(self) -> int:
@@ -199,6 +230,7 @@ class DensityTable:
 @lru_cache(maxsize=16)
 def _fast_len(n: int) -> int:
     # smallest 5-smooth integer >= n (up to 2**39), the sizes pocketfft does fastest
+    n = operator.index(n)
     odd = (3**i * 5**j for i in range(26) for j in range(18))
     return min(c << (-(-n // c) - 1).bit_length() for c in odd)
 
@@ -386,10 +418,10 @@ def _half_weights(grid: FourierGrid):
 @lru_cache(maxsize=2)
 def _pull_back_phase(grid: FourierGrid) -> np.ndarray:
     # the half-spectrum sample factor of _half_weights times the output-shift
-    # phase exp(2 pi i q (s - m/2) delta), reduced modulo 1 in long double
+    # phase exp(2 pi i q (s - m/2 + k_lo) delta), reduced modulo 1 in long double
     h = grid.m // 2
     ld = np.longdouble
-    turns = (ld(grid.delta) * np.arange(h + 1, dtype=ld) * (ld(grid.s) - h)) % 1
+    turns = (ld(grid.delta) * np.arange(h + 1, dtype=ld) * (ld(grid.s) - h + grid.k_lo)) % 1
     # shift is bound to a name, so numpy cannot reuse it as the product's
     # output and swap the operands (see _pull_back)
     shift = np.exp(2j * np.pi * turns.astype(float))
@@ -397,12 +429,12 @@ def _pull_back_phase(grid: FourierGrid) -> np.ndarray:
 
 
 def _transform_half(half: np.ndarray, grid: FourierGrid) -> np.ndarray:
-    # f(x_k) on the m+1 output points from rows on xi_q = q beta_step,
+    # f(x_k) on the grid's output nodes from rows on xi_q = q beta_step,
     # q = 0..m/2: twice the real part of the half-spectrum sum
-    h = grid.m // 2
+    h, nodes = grid.m // 2, grid.nodes
     phase = _half_weights(grid)[1]
-    transform = _bluestein(h + 1, grid.m + 1, -grid.delta, grid.s - h)
-    out = np.empty((half.shape[0], grid.m + 1))
+    transform = _bluestein(h + 1, len(nodes), -grid.delta, grid.s - h + nodes.start)
+    out = np.empty((half.shape[0], len(nodes)))
     for row, dst in zip(half, out):
         dst[:] = transform(row * phase).real
     return out
@@ -413,7 +445,7 @@ def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
 
     ``rows`` (R, m+1) samples Hermitian functions at xi_q = (q - m/2) beta_step;
     the result holds f(x_k) = beta_step/(2 pi) sum_q W_q rows[q] exp(i xi_q x_k)
-    on the m+1 points of :func:`_output_points`, W the composite weights, as
+    on the points of :func:`_output_points`, W the composite weights, as
     twice the real part of the xi >= 0 half (xi = 0 at half weight).  A row's
     asymmetry beta_step/(2 pi) sum_{xi>=0} W |r(xi) - conj r(-xi)| bounds the
     imaginary residue of the full sum; it must stay below 1e-8 on the leading
@@ -435,15 +467,15 @@ def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
 def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     """Transpose of :func:`_invert_rows` on the xi >= 0 half.
 
-    For real ``c`` on the m+1 output points, returns the complex ``d`` on
+    For real ``c`` on the grid's output nodes, returns the complex ``d`` on
     xi_q = q beta_step, q = 0..m/2, with
     sum_k c_k _invert_rows(rows, grid)[r, k] = Re sum_q rows[r, m/2 + q] d_q
     for every row.  One fractional FFT of ``c`` gives
-    sum_k c_k exp(2 pi i q k delta); the output shift s - m/2 enters as the
-    phase exp(2 pi i q (s - m/2) delta), reduced modulo 1 in long double.
+    sum_k c_k exp(2 pi i q k delta); the output shift s - m/2 + k_lo enters
+    as the phase exp(2 pi i q (s - m/2 + k_lo) delta), reduced modulo 1 in
+    long double.
     """
-    m, h = grid.m, grid.m // 2
-    d = _bluestein(m + 1, h + 1, -grid.delta, 0.0)(c)
+    d = _bluestein(len(grid.nodes), grid.m // 2 + 1, -grid.delta, 0.0)(c)
     # phase times d, in that order: a complex product rounds differently with
     # its operands swapped, and numpy may evaluate phase * <temporary> as
     # <temporary> *= phase
@@ -451,7 +483,7 @@ def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
 
 
 def _output_points(grid: FourierGrid) -> np.ndarray:
-    k = np.arange(grid.m + 1)
+    k = np.arange(grid.nodes.start, grid.nodes.stop)
     return grid.center + (k + grid.s - grid.m / 2.0) * grid.gamma_step
 
 
@@ -475,9 +507,10 @@ def _cumulative(f_full: np.ndarray, grid: FourierGrid):
 def spectral_tables(params: GtsParams, grid: FourierGrid, order: int = 0):
     """Raw inversion engine: output points and function rows.
 
-    Returns ``(x, rows)`` where ``x`` has m+1 points and ``rows`` holds the
-    density (order 0), plus its 7 parameter-gradient rows (order 1), plus
-    the 28 upper-triangle second-derivative rows (order 2).  The fitter asks
+    Returns ``(x, rows)`` where ``x`` holds the grid's output nodes (all m+1
+    unless the grid carries a range) and ``rows`` holds the density (order
+    0), plus its 7 parameter-gradient rows (order 1), plus the 28
+    upper-triangle second-derivative rows (order 2).  The fitter asks
     for orders 0 and 1 only and gets its Hessian through :func:`_pull_back`;
     order 2 is the direct path that the tests check that Hessian against.
     Only the xi >= 0 half is evaluated and transformed; its rows are
@@ -493,8 +526,12 @@ def density_table(params: GtsParams, grid: FourierGrid, with_derivatives: bool =
     The table exposes the first m of the m+1 computed nodes.  The CDF is the
     cumulative panel quadrature renormalized by the recovered total mass,
     clamped to [0, 1] and made nondecreasing; a total mass off by more than
-    1e-4 raises :class:`GridError`.
+    1e-4 raises :class:`GridError`.  The CDF needs every panel, so a grid
+    that carries an output-node range raises ``ValueError``.
     """
+    if grid.nodes != range(grid.m + 1):
+        lo, hi = grid.nodes.start, grid.nodes.stop
+        raise ValueError(f"density_table needs all {grid.m + 1} output nodes, the grid's range is [{lo}, {hi})")
     x_full, vals = spectral_tables(params, grid, order=1 if with_derivatives else 0)
     f_full = vals[0]
     if float(f_full.min()) < -1e-10:

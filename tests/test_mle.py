@@ -1,5 +1,7 @@
 """Likelihood assembly, analytic score and Hessian, Newton fit, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from gtsfit.mle import (
 )
 from gtsfit.risk import _quantile_clamped
 from gtsfit.special_linalg import eigen_sym
-from gtsfit.spectral import choose_grid, density_table, spectral_tables
+from gtsfit.spectral import _output_points, _stencil, choose_grid, density_table, spectral_tables
 
 from conftest import BTC_PARAMS
 
@@ -140,6 +142,51 @@ def test_adjoint_hessian_matches_direct_rows(asset, small_sample, btc_sample):
     # the order-2 objective reads log L and the score off the same rows
     ll2, score2, _, _ = _objective(params, data, 8192, 2)
     assert ll2 == ll1 and np.array_equal(score2, score1)
+
+
+def _edge_sample(params, data, edges):
+    # data plus one point a quarter step inside each named edge of the
+    # coverage-40 table, where the full table's stencil is clipped
+    x = _output_points(choose_grid(params, 8192))
+    gamma = x[1] - x[0]
+    extra = {"lo": x[0] + 0.25 * gamma, "hi": x[-1] - 0.25 * gamma}
+    return np.append(data, [extra[e] for e in edges])
+
+
+@pytest.mark.parametrize("asset", ["sp", "btc"])
+@pytest.mark.parametrize("edges", [(), ("lo",), ("hi",)])
+def test_grid_for_range_holds_every_stencil(asset, edges, small_sample, btc_sample):
+    # every data point's 4 stencil nodes lie inside the grid's range, and
+    # the ranged table picks the full table's stencil for each point
+    params, data = (SP, small_sample) if asset == "sp" else (BTC_PARAMS, btc_sample)
+    data = _edge_sample(params, data, edges)
+    ranged = _grid_for(params, data, 8192)
+    full = choose_grid(params, 8192)
+    assert dataclasses.replace(ranged, k_lo=0, k_hi=None) == full
+    lo, hi = ranged.nodes.start, ranged.nodes.stop
+    assert (lo == 0) == ("lo" in edges) and (hi == full.m + 1) == ("hi" in edges)
+    idx_full, w_full = _stencil(_output_points(full), data)
+    idx, w = _stencil(_output_points(ranged), data)
+    assert np.all(idx_full - 1 >= lo) and np.all(idx_full + 2 < hi)
+    assert np.array_equal(idx + lo, idx_full)
+    # _stencil's step x[1] - x[0] carries the rounding of each table's first
+    # two nodes (about 1e-12 relative), and the weights with it
+    assert np.allclose(w, w_full, rtol=0.0, atol=1e-11)
+
+
+def test_grid_for_range_reaching_both_edges_is_the_full_grid(small_sample):
+    data = _edge_sample(SP, small_sample, ("lo", "hi"))
+    assert _grid_for(SP, data, 8192) == choose_grid(SP, 8192)
+
+
+@pytest.mark.parametrize("asset", ["sp", "btc"])
+def test_ranged_loglik_matches_full_grid(asset, small_sample, btc_sample):
+    params, data = (SP, small_sample) if asset == "sp" else (BTC_PARAMS, btc_sample)
+    ranged = _grid_for(params, data, 8192)
+    assert len(ranged.nodes) < 0.5 * ranged.m
+    full = dataclasses.replace(ranged, k_lo=0, k_hi=None)
+    want = _objective(params, data, 8192, 0, full)[0]
+    assert abs(_objective(params, data, 8192, 0, ranged)[0] - want) <= 1e-14 * abs(want)
 
 
 def test_hessian_shares_the_inversion_char_terms(small_sample, monkeypatch):

@@ -222,6 +222,36 @@ def test_fourier_grid_rejects_bad_geometry():
     assert (g.m, g.beta_step, g.gamma_step, g.s) == (120, 64.0 / 120, 8.0 / 120, 0.0)
 
 
+def test_fourier_grid_rejects_bad_node_range():
+    # the output-node range must satisfy 0 <= k_lo < k_hi <= m + 1 (m = 120)
+    for bad in ({"k_lo": -1}, {"k_lo": 121}, {"k_lo": 5, "k_hi": 5}, {"k_hi": 0}, {"k_hi": 122}):
+        with pytest.raises(ValueError, match=r"output-node range \[-?\d+, \d+\) not inside \[0, 121\)"):
+            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
+    g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0)
+    assert g.nodes == range(121)
+    assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, k_hi=40).nodes == range(40)
+    assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, k_lo=7).nodes == range(7, 121)
+    # a range covering every node is the default grid, so it shares its caches
+    full = FourierGrid(a=64.0, n=10, span=8.0, center=0.0, k_lo=0, k_hi=121)
+    assert full == g and hash(full) == hash(g) and full.k_hi is None
+
+
+def test_fourier_grid_sizes_are_integers():
+    # numpy integers are coerced to int, floats are refused
+    grid = choose_grid(SP, 8192)
+    cast = dataclasses.replace(grid, n=np.int64(grid.n), k_lo=np.int64(0), k_hi=np.int64(grid.m + 1))
+    assert cast == grid and type(cast.n) is int and cast.k_hi is None
+    ranged = dataclasses.replace(grid, k_lo=np.int64(3), k_hi=np.int32(90))
+    assert (type(ranged.k_lo), type(ranged.k_hi)) == (int, int)
+    assert np.array_equal(density_table(SP, cast).f, density_table(SP, grid).f)
+    for bad in ({"n": 2.5}, {"n": 10.0}, {"k_lo": 1.0}, {"k_hi": 60.5}):
+        with pytest.raises(TypeError):
+            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
+    _fast_len.cache_clear()
+    assert _fast_len(np.int64(1753)) == 1800
+    assert type(_fast_len(np.int64(1753))) is int
+
+
 # -- inversion engine ---------------------------------------------------------
 
 
@@ -288,6 +318,40 @@ def test_pull_back_is_adjoint_of_inversion(s):
     lhs = out @ c
     rhs = (rows[:, grid.m // 2 :] @ d).real
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+@pytest.mark.parametrize("k_lo, k_hi", [(70, 220), (150, 289)])
+def test_ranged_pull_back_is_adjoint_of_ranged_inversion(s, k_lo, k_hi):
+    # the identity of test_pull_back_is_adjoint_of_inversion on a grid that
+    # inverts only the output nodes k_lo..k_hi-1 of 289.  A sum over part of
+    # the window can cancel, so the bound scales with the sum of |terms|
+    grid = dataclasses.replace(_small_grid(SP), s=s, k_lo=k_lo, k_hi=k_hi)
+    rows = _char_rows(SP, grid, 2)
+    out = _invert_rows(rows, grid)
+    assert out.shape == (36, k_hi - k_lo)
+    c = np.random.default_rng(7).standard_normal(k_hi - k_lo)
+    d = _pull_back(c, grid)
+    assert d.shape == (grid.m // 2 + 1,)
+    lhs = out @ c
+    rhs = (rows[:, grid.m // 2 :] @ d).real
+    assert np.all(np.abs(lhs - rhs) <= 1e-13 * (np.abs(out) @ np.abs(c)))
+
+
+@pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_ranged_tables_match_the_full_table(params, order):
+    # a ranged grid computes the full table's middle third: the same output
+    # points bit for bit, and rows equal to within rounding of each row's scale
+    full = choose_grid(params, 8192)
+    ranged = dataclasses.replace(full, k_lo=full.m // 3, k_hi=2 * full.m // 3)
+    x_full, rows_full = spectral_tables(params, full, order)
+    x, rows = spectral_tables(params, ranged, order)
+    window = slice(full.m // 3, 2 * full.m // 3)
+    assert np.array_equal(x, x_full[window])
+    assert np.array_equal(x, _output_points(ranged))
+    scale = np.abs(rows_full).max(axis=1)
+    assert np.all(np.abs(rows - rows_full[:, window]).max(axis=1) <= 5e-15 * scale)
 
 
 @pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
@@ -500,6 +564,13 @@ def test_table_failures_quote_value_and_bound():
         density_table(SP, _small_grid(SP, n=2))
     with pytest.raises(GridError, match=r"recovered mass 0\.942374748 outside 1 \+- 0\.0001"):
         density_table(SP, _small_grid(SP, coverage=4.0))
+
+
+def test_table_rejects_ranged_grid():
+    # the CDF accumulates every panel, so a table needs every output node
+    grid = dataclasses.replace(choose_grid(SP, 8192), k_lo=10, k_hi=200)
+    with pytest.raises(ValueError, match=r"all 21037 output nodes, the grid's range is \[10, 200\)"):
+        density_table(SP, grid)
 
 
 def test_table_mean_and_variance(sp_table):
