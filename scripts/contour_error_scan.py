@@ -2,13 +2,17 @@
 """Map the payoff-reconstruction error over the contour offset.
 
 Usage:
-    python scripts/contour_error_scan.py params.json [--strikes -2.15,-1.0,1.5]
+    python scripts/contour_error_scan.py params.json [--strikes=-2.15,-1.0,1.5]
+
+(A list that starts with a minus sign needs the ``=``: argparse would read it
+as an option.)
 
 For each strike the script sweeps the signed offset grid used by
 optimize_q, prints the error minimum and its location, and shows how flat
 the optimum is across strikes.  The error is a property of the quadrature
 alone, so the parameter file only sets which strikes are interesting
-(anchored at the fitted mean minus two standard deviations).
+(anchored at the fitted mean minus two standard deviations).  A strike
+the diagnostic rejects (nan or inf) ends the scan with exit status 2.
 """
 
 import argparse
@@ -42,7 +46,11 @@ def main() -> int:
     best = []
     print(f"{'strike':>9} {'best q':>10} {'min error':>12} {'pos-q error':>12}")
     for k in strikes:
-        q = optimize_q(params, k, qs)
+        try:
+            q = optimize_q(params, k, qs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         pos = reconstruction_error(params, k, optimize_q(params, k, qs[qs > 0.0]))
         best.append(q)
         print(f"{k:>9.3f} {q:>10.5f} {reconstruction_error(params, k, q):>12.4e} {pos:>12.4e}")

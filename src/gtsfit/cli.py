@@ -316,18 +316,13 @@ def cmd_risk(cfg: RunConfig) -> int:
 def cmd_vol(cfg: RunConfig) -> int:
     rets = _load_returns(cfg)
     outdir = _outdir(cfg)
+    named = {"month": ("vol_monthly.csv", data.TRADING_DAYS_MONTH), "year": ("vol_yearly.csv", data.TRADING_DAYS_YEAR)}
     if cfg.window is None:
-        jobs = (
-            ("vol_monthly.csv", data.TRADING_DAYS_MONTH),
-            ("vol_yearly.csv", data.TRADING_DAYS_YEAR),
-        )
-    elif cfg.window == "month":
-        jobs = (("vol_monthly.csv", data.TRADING_DAYS_MONTH),)
-    elif cfg.window == "year":
-        jobs = (("vol_yearly.csv", data.TRADING_DAYS_YEAR),)
+        jobs = tuple(named.values())
+    elif cfg.window in named:
+        jobs = (named[cfg.window],)
     else:
-        w = int(cfg.window)
-        jobs = ((f"vol_window{w}.csv", w),)
+        jobs = ((f"vol_window{int(cfg.window)}.csv", int(cfg.window)),)
     for fname, w in jobs:
         dates, vols = data.realized_vol(rets, w)
         data.write_value_csv(dates, vols, outdir / fname)

@@ -56,8 +56,8 @@ from .data import DegenerateSampleError, write_csv
 from .gts_model import _SIDE_INDEX, DomainError, GtsParams, _side_hess
 from .risk import _quantile_clamped
 from .special_linalg import NumericError, SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
-from .spectral import DEFAULT_GRID_M, FourierGrid, SpanError, _grad_terms, _interp4, _output_points, _pull_back
-from .spectral import _stencil, choose_grid, density_table, spectral_tables
+from .spectral import DEFAULT_GRID_M, FourierGrid, GridError, SpanError, _grad_terms, _interp4, _output_points
+from .spectral import _pull_back, _stencil, choose_grid, density_table, spectral_tables
 
 _DENSITY_FLOOR = 1e-300
 _COVERAGE = 40.0
@@ -251,7 +251,11 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
 
     trace = FitTrace()
     v = params.to_vector()
-    grid = _grid_for(params, data, opts.grid_m)
+    try:
+        grid = _grid_for(params, data, opts.grid_m)
+    except GridError as exc:
+        scale = f"n = {data.size}, standard deviation {data.std(ddof=1):.3e}"
+        raise GridError(f"starting grid for a sample of {scale}: {exc}") from exc
     damping_used = 0
 
     def evaluate(vec: np.ndarray, order: int = 2):

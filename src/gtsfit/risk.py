@@ -11,7 +11,8 @@ offset: 0.45 lambda of the relevant tail's tempering rate.  By Cauchy's
 theorem the integral does not depend on the offset anywhere inside the
 tempering strip (Lewis 2001), so no offset is searched for; the
 payoff-reconstruction error and its grid search :func:`optimize_q` remain as
-a diagnostic of the damped quadrature.
+a diagnostic of the damped quadrature, its payoff sum one fractional DFT per
+strike and offset on spectral's Bluestein plan.
 
 With the offset fixed, the strikes of one tail land on the same contour
 nodes, so Psi(-z) on a contour is cached: ``_contour`` returns the nodes,
@@ -34,7 +35,7 @@ import numpy as np
 from .data import write_csv
 from .gts_model import GtsParams, char_exponent
 from .special_linalg import NumericError
-from .spectral import DensityTable, _composite_weights, _cubic_diffs, _read_only, cdf_at
+from .spectral import DensityTable, _bluestein, _composite_weights, _cubic_diffs, _read_only, cdf_at
 
 
 class TailSide(enum.Enum):
@@ -297,27 +298,26 @@ _ER_LATTICE = 0.1
 
 
 def _reconstruction_errors(k: float, q_values: np.ndarray) -> np.ndarray:
-    # The phase matrix e^{itx} is shared by all offsets, so all candidates
-    # ride one chunked matrix product.
-    if np.any(q_values == 0.0):
-        raise ValueError("offset q must be nonzero")
+    # With t_j = -R + h j and x_l = L (j_lo + l), sum_j kern_j e^{i x_l t_j}
+    # is e^{-i x_l R} times the fractional DFT of the kernel row with
+    # delta = -L h/(2 pi) and shift j_lo: one plan per strike, built outside
+    # _bluestein's cache so that a scan cannot evict a grid's plans.
+    if not math.isfinite(k):
+        raise ValueError(f"strike k must be finite, got {k}")
+    if not (np.isfinite(q_values).all() and q_values.all()):
+        bad = q_values[~np.isfinite(q_values) | (q_values == 0.0)][0]
+        raise ValueError(f"offset q must be finite and nonzero, got {bad}")
     nodes = int(round(2.0 * _ER_RADIUS / _ER_STEP)) + 1
     t = -_ER_RADIUS + _ER_STEP * np.arange(nodes)
-    wt = _composite_weights((nodes - 1) // 12)
-    base = wt * (-np.exp(-1j * t * k))
+    base = _composite_weights((nodes - 1) // 12) * (-np.exp(-1j * t * k))
     kernels = base[None, :] / ((t[None, :] + 1j * q_values[:, None]) ** 2)
     j_lo = math.ceil((k - _ER_WINDOW) / _ER_LATTICE)
     j_hi = math.floor((k + _ER_WINDOW) / _ER_LATTICE)
     xs = _ER_LATTICE * np.arange(j_lo, j_hi + 1)
-    raw = np.empty((xs.size, q_values.size))
-    for c0 in range(0, xs.size, 48):
-        blk = xs[c0 : c0 + 48]
-        phases = np.exp(1j * np.outer(blk, t))
-        raw[c0 : c0 + 48] = (phases @ kernels.T).real
-    damp = np.exp(-np.outer(xs - k, q_values))
-    recon = damp * raw * (_ER_STEP / (2.0 * math.pi))
-    exact = np.maximum(xs - k, 0.0)
-    return np.sqrt(np.mean((exact[:, None] - recon) ** 2, axis=0))
+    plan = _bluestein.__wrapped__(nodes, xs.size, -_ER_LATTICE * _ER_STEP / (2.0 * math.pi), j_lo)
+    raw = (plan(kernels) * np.exp(-1j * _ER_RADIUS * xs)).real.T
+    recon = np.exp(-np.outer(xs - k, q_values)) * raw * (_ER_STEP / (2.0 * math.pi))
+    return np.sqrt(np.mean((np.maximum(xs - k, 0.0)[:, None] - recon) ** 2, axis=0))
 
 
 def reconstruction_error(params: GtsParams, k: float, q: float) -> float:
@@ -342,8 +342,7 @@ def default_q_grid() -> np.ndarray:
 def optimize_q(params: GtsParams, k: float, q_grid=None) -> float:
     """Grid-search the contour offset minimizing the reconstruction error."""
     grid = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=float)
-    errs = _reconstruction_errors(k, grid)
-    return float(grid[int(np.argmin(errs))])
+    return float(grid[int(np.argmin(_reconstruction_errors(k, grid)))])
 
 
 # share of the tail's tempering rate lambda used as the contour offset: the

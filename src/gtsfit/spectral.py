@@ -54,7 +54,8 @@ array it hands out, except the workspace, is read-only:
 - the Bluestein plan (chirps, kernel FFT, padded size), keyed on
   ``(m, n_out, delta, s)``, 4 plans, that is one grid's inversion and
   pull-back plans and the next grid's (2 plans per grid, ranged or not; a
-  range shrinks ``n_out`` and with it the padded size);
+  range shrinks ``n_out`` and with it the padded size).  Grids' plans only:
+  ``frft`` and ``risk``'s diagnostic build theirs uncached, so evict none;
 - the half-spectrum weights and the pull-back phase, keyed on the frozen
   :class:`FourierGrid`, 2 grids each;
 - the 5-smooth transform length, keyed on the requested length, 16 entries;
@@ -300,7 +301,7 @@ def frft(seq, delta: float, s: float = 0.0) -> np.ndarray:
     ``s = 0`` reproduces the ordinary DFT.
     """
     x = np.asarray(seq, dtype=complex)
-    return _bluestein(x.shape[-1], x.shape[-1], delta, s)(x)
+    return _bluestein.__wrapped__(x.shape[-1], x.shape[-1], delta, s)(x)
 
 
 def choose_grid(

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gtsfit import cli
+from gtsfit import cli, data
 from gtsfit.cli import (
     _CONFIG_TYPES,
     DEFAULT_LEVELS,
@@ -414,3 +414,13 @@ def test_fit_tiny_variance_series_is_numeric_error(tmp_path, capsys):
     assert main(["fit", "--input", str(prices), "--out", str(out)]) == EXIT_NUMERIC
     assert "characteristic function tail not covered" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_fit_tiny_variance_error_names_sample_scale(tmp_path, capsys):
+    # the starting grid's failure quotes the sample's size and scale
+    u = np.random.default_rng(3).random(600)
+    prices = _price_csv(tmp_path / "tiny.csv", 100.0 * (1.0 + 1e-9 * u))
+    rets = data.log_returns(data.load_price_csv(prices)).values
+    assert main(["fit", "--input", str(prices), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert f"sample of n = {rets.size}, standard deviation {np.std(rets, ddof=1):.3e}: " in err

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gtsfit import risk
+from gtsfit import risk, spectral
 from gtsfit.risk import (
     BracketEdgeError,
     ContourError,
@@ -36,7 +36,7 @@ from gtsfit.risk import (
 )
 from gtsfit.cli import DEFAULT_LEVELS
 from gtsfit.gts_model import GtsParams, save_params
-from gtsfit.spectral import _composite_weights, cdf_at
+from gtsfit.spectral import _composite_weights, cdf_at, choose_grid
 
 
 # -- empirical estimators -----------------------------------------------------
@@ -381,6 +381,67 @@ def test_contour_error_scan_script(tmp_path, sp_params):
     strike, best_q = res.stdout.splitlines()[1].split()[:2]
     assert float(strike) == -2.15
     assert best_q == f"{optimize_q(sp_params, -2.15):.5f}"
+
+
+def _direct_reconstruction_errors(k, q_values):
+    # the diagnostic with its payoff sum taken directly over the quadrature
+    # nodes, a block of lattice points at a time; returns the lattice size too
+    nodes = int(round(2.0 * risk._ER_RADIUS / risk._ER_STEP)) + 1
+    t = -risk._ER_RADIUS + risk._ER_STEP * np.arange(nodes)
+    base = _composite_weights((nodes - 1) // 12) * (-np.exp(-1j * t * k))
+    kern = (base[None, :] / (t[None, :] + 1j * q_values[:, None]) ** 2).T
+    j_lo = math.ceil((k - risk._ER_WINDOW) / risk._ER_LATTICE)
+    j_hi = math.floor((k + risk._ER_WINDOW) / risk._ER_LATTICE)
+    xs = risk._ER_LATTICE * np.arange(j_lo, j_hi + 1)
+    raw = np.concatenate([(np.exp(1j * np.outer(blk, t)) @ kern).real for blk in np.array_split(xs, 8)])
+    recon = np.exp(-np.outer(xs - k, q_values)) * raw * (risk._ER_STEP / (2.0 * math.pi))
+    return xs.size, np.sqrt(np.mean((np.maximum(xs - k, 0.0)[:, None] - recon) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("k, lattice", [(0.0, 301), (-2.15, 300), (-9.3, 300)])
+def test_reconstruction_errors_match_direct_sum(k, lattice):
+    # the fractional-DFT evaluation against the direct sum, on odd and even
+    # lattice windows and a far strike, at the optimum, a wide and a wrong-side offset
+    qs = np.array([-0.073878, -0.5, 0.01])
+    size, want = _direct_reconstruction_errors(k, qs)
+    assert size == lattice
+    np.testing.assert_allclose(risk._reconstruction_errors(k, qs), want, rtol=1e-7, atol=0.0)
+
+
+def test_optimize_q_leaves_plan_cache(sp_params):
+    # the diagnostic's plan stays out of the cache that holds the grids' plans
+    grid = choose_grid(sp_params)
+    h = grid.m // 2
+    key = (h + 1, grid.m + 1, -grid.delta, grid.s - h)
+    spectral._bluestein.cache_clear()
+    plan = spectral._bluestein(*key)
+    size = spectral._bluestein.cache_info().currsize
+    optimize_q(sp_params, -2.15)
+    assert spectral._bluestein.cache_info().currsize == size
+    assert spectral._bluestein(*key) is plan
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reconstruction_error_rejects_non_finite(sp_params, bad):
+    with pytest.raises(ValueError, match=f"strike k must be finite, got {bad}"):
+        optimize_q(sp_params, bad)
+    with pytest.raises(ValueError, match=f"offset q must be finite and nonzero, got {bad}"):
+        reconstruction_error(sp_params, -2.15, bad)
+
+
+@pytest.mark.parametrize("strike", ["nan", "inf"])
+def test_contour_error_scan_script_rejects_non_finite(tmp_path, sp_params, strike):
+    path = tmp_path / "sp.json"
+    save_params(sp_params, path)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "contour_error_scan.py"
+    res = subprocess.run(
+        [sys.executable, str(script), str(path), "--strikes", strike],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert res.returncode == 2
+    assert f"got {strike}" in res.stderr and "Traceback" not in res.stderr
 
 
 # -- average value at risk ----------------------------------------------------
