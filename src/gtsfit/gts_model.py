@@ -117,9 +117,13 @@ class GtsParams:
         if units != "percent":
             raise DomainError(f"unsupported units {units!r}, expected 'percent'")
         try:
-            return cls(*(float(obj[n]) for n in PARAM_NAMES))
+            vals = [obj[n] for n in PARAM_NAMES]
         except KeyError as exc:
             raise DomainError(f"missing parameter key {exc.args[0]!r}") from None
+        for n, v in zip(PARAM_NAMES, vals):
+            if type(v) not in (int, float):  # JSON numbers only, not true, null or "0.1"
+                raise DomainError(f"parameter {n!r} must be a JSON number, got {v!r}")
+        return cls(*map(float, vals))
 
 
 def save_params(params: GtsParams, path) -> None:

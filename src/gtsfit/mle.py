@@ -327,7 +327,7 @@ def sample_inverse_cdf(params: GtsParams, n: int, seed: int, grid_m: int = DEFAU
     """Seeded synthetic sample by inverse-CDF transform of uniform draws.
 
     The n uniform levels come from one ``default_rng(seed)`` call.  They are
-    inverted through the clamped central-difference quartic of
+    inverted by the cubic solve behind :func:`~gtsfit.risk.var`,
     :func:`~gtsfit.risk._quantile_clamped`, a block of ``_SAMPLE_BLOCK``
     levels at a time, each block of draws overwriting its levels, so the
     solver's workspace stays O(block) beside the output.

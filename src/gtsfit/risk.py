@@ -3,8 +3,7 @@
 Quantiles are signed (losses are negative returns), so the lower tail holds
 the loss quantiles.  VaR solves the cubic coefficients that
 :func:`~gtsfit.spectral.cdf_at` evaluates, so it is that function's exact
-inverse; the sampler's quantile inverts the CDF through a clamped
-central-difference quartic instead, on whole arrays of levels.  AVaR adds
+inverse; the sampler runs the same solve on whole arrays of levels.  AVaR adds
 the expected shortfall beyond VaR, evaluated as a Fourier integral of the
 characteristic function along a contour shifted off the real axis by a fixed
 offset: 0.45 lambda of the relevant tail's tempering rate.  By Cauchy's
@@ -204,34 +203,22 @@ def var(table: DensityTable, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    big_f = table.F
-    m = big_f.size
-    i = int(np.searchsorted(big_f, alpha, side="left")) - 1
+    m = table.F.size
+    i = int(np.searchsorted(table.F, alpha, side="left")) - 1
     if i < 2 or i > m - 4:
         raise BracketEdgeError(f"quantile bracket {i} at table edge (m={m})")
-    c = _cubic_diffs(big_f, i)
-    y = quartic_root_unit(big_f[i] - alpha, c[1], c[2], c[3], 0.0)
-    return float(table.x[i] + y * (table.x[i + 1] - table.x[i]))
+    return float(_quantile_clamped(table, np.array([alpha]))[0])
 
 
 def _quantile_clamped(table: DensityTable, u: np.ndarray) -> np.ndarray:
-    # Sampler quantiles from a central-difference quartic, not the cubic that
-    # var() shares with cdf_at(): switching it would move every seeded draw.
-    # Clamps the bracket into the valid stencil range instead of raising, so
-    # extreme uniform draws stay usable; where the quartic has no sign change
-    # on the cell the draw falls back to linear interpolation.
+    # var's cubic solved on whole arrays of levels (b4 = 0).  The bracket
+    # F_i < u <= F_{i+1} is clamped into the stencil's cells 1 <= i <= m - 3
+    # instead of raising, and a level the clamped cell cannot bracket takes the
+    # cell's nearer node, so every draw lies on the table.
     big_f = table.F
-    m = big_f.size
-    i = np.clip(np.searchsorted(big_f, u, side="left") - 1, 2, m - 4)
-    fm2, fm1, f0, f1, f2 = (big_f[i + j] for j in range(-2, 3))
-    a1 = (f1 - fm1) / 2.0
-    a2 = fm1 - 2.0 * f0 + f1
-    a3 = (-fm2 + 2.0 * fm1 - 2.0 * f1 + f2) / 2.0
-    a4 = fm2 - 4.0 * fm1 + 6.0 * f0 - 4.0 * f1 + f2
-    y, bracketed = _quartic_roots(np.stack((f0 - u, a1, a2 / 2.0, a3 / 6.0, a4 / 24.0)))
-    den = f1 - f0
-    linear = np.where(den <= 0.0, 0.5, (u - f0) / np.where(den <= 0.0, 1.0, den))
-    y = np.where(bracketed, y, linear)
+    i = np.clip(np.searchsorted(big_f, u, side="left") - 1, 1, big_f.size - 3)
+    y, bracketed = _quartic_roots(np.stack((big_f[i] - u, *_cubic_diffs(big_f, i), np.zeros(i.shape))))
+    y = np.where(bracketed, y, u > big_f[i])
     return table.x[i] + y * (table.x[i + 1] - table.x[i])
 
 
@@ -374,9 +361,10 @@ def avar(params: GtsParams, table: DensityTable, alpha: float, side: TailSide) -
 
 
 def prob_interval(table: DensityTable, lo: float, hi: float) -> float:
-    """P(lo < X <= hi) from the tabulated CDF."""
+    """P(lo < X <= hi) from the tabulated CDF, the endpoints clamped into its span."""
     if not lo < hi:
         raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+    lo, hi = (min(max(v, table.x[0]), table.x[-1]) for v in (lo, hi))
     return max(0.0, cdf_at(table, hi) - cdf_at(table, lo))
 
 

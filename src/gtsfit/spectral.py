@@ -11,9 +11,9 @@ reciprocal grid.
 This module defines the package's two discretisation rules once each.  The
 composite weights (``_composite_weights``) serve the inversion here and the
 AVaR contour in ``risk``.  The 4-point cubic (``_CUBIC``) interpolates the
-fitter's rows (``_interp4``); ``cdf_at`` evaluates and ``risk.var`` solves
-one set of its coefficients (``_cubic_diffs``), so VaR inverts the CDF
-exactly.
+fitter's rows (``_interp4``); ``cdf_at`` evaluates and ``risk``'s quantile
+solve (behind ``var`` and the sampler) solves one set of its coefficients
+(``_cubic_diffs``), so VaR and the draws invert the CDF exactly.
 
 The sums are evaluated in one shot.  Every row is Hermitian (F(-xi) =
 conj F(xi), for the derivative rows too), so the characteristic function
@@ -572,10 +572,12 @@ def _interp4(x: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return sum(wo * rows[..., idx + o] for o, wo in zip((-1, 0, 1, 2), w))
 
 
-def _cubic_diffs(fs: np.ndarray, i: int) -> np.ndarray:
-    # Coefficients in y = (x - x_i)/gamma of the cubic through fs[i-1..i+2]
-    # minus fs[i] (constant 0); differences keep their accuracy where fs ~ 1
-    return (fs[i - 1 : i + 3] - fs[i]) @ _CUBIC
+def _cubic_diffs(fs: np.ndarray, i):
+    # (c1, c2, c3) in y = (x - x_i)/gamma of the cubic through fs[i-1..i+2]
+    # minus fs[i]; differences keep their accuracy where fs ~ 1.  Elementwise
+    # in an index array i, so a scalar and an array index give the same bits
+    d = [fs[i + o] - fs[i] for o in (-1, 1, 2)]
+    return tuple(d[0] * _CUBIC[0, p] + d[1] * _CUBIC[2, p] + d[2] * _CUBIC[3, p] for p in (1, 2, 3))
 
 
 def cdf_at(table: DensityTable, x: float) -> float:
@@ -592,9 +594,9 @@ def cdf_at(table: DensityTable, x: float) -> float:
     gamma = table.grid.gamma_step
     i = min(max(int((x - xs[0]) / gamma), 0), len(xs) - 2)
     j = min(max(i, 1), len(xs) - 3)
-    c = _cubic_diffs(fs, j)
+    c1, c2, c3 = _cubic_diffs(fs, j)
     y = (x - xs[j]) / gamma
-    val = fs[j] + y * (c[1] + y * (c[2] + y * c[3]))
+    val = fs[j] + y * (c1 + y * (c2 + y * c3))
     return float(min(max(val, fs[i]), fs[i + 1]))
 
 

@@ -86,6 +86,16 @@ def test_pdf_runs(sp_json, tmp_path, capsys):
     assert "P(-1.06 < X <= 1.23)" in capsys.readouterr().out
 
 
+def test_pdf_interval_wider_than_table(sp_json, tmp_path, capsys):
+    # the endpoints are clamped into the table's span, which holds all but
+    # ~1e-9 of the mass, so the answer is that mass, not a SpanError
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"interval": [-100, 100]}), encoding="utf-8")
+    code = main(["pdf", "--config", str(cfg), "--params", str(sp_json), "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    assert "P(-100 < X <= 100) = 1\n" in capsys.readouterr().out
+
+
 def test_pdf_density_csv_is_the_table_writer(sp_json, tmp_path):
     out = tmp_path / "o3b"
     assert main(["pdf", "--params", str(sp_json), "--out", str(out)]) == EXIT_OK
@@ -246,6 +256,22 @@ def test_invalid_params_values(tmp_path):
     bad.write_text(json.dumps(payload), encoding="utf-8")
     code = main(["pdf", "--params", str(bad), "--out", str(tmp_path)])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("val", [None, True, "0.1", [0.1], {"value": 0.1}])
+def test_params_value_must_be_json_number(val, tmp_path, capsys):
+    # float() would crash on null, a list or an object, read true as 1.0 and
+    # a string as its number: each is an input error that names the key
+    bad = tmp_path / "bad3.json"
+    payload = SP_PARAMS.to_json()
+    payload["mu"] = val
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["pdf", "--params", str(bad), "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "'mu'" in err and "JSON number" in err
+    assert not out.exists()
 
 
 def test_bad_levels_rejected(sp_json, tmp_path):

@@ -222,16 +222,16 @@ def test_sampler_deterministic():
     assert not np.array_equal(a, c)
 
 
-# 17-digit draws recorded before the sampler was vectorised; the blocks must
-# reproduce every seeded draw bit for bit
+# 17-digit draws of the inverse of the cubic CDF interpolant that var and
+# cdf_at share; the blocks must reproduce every seeded draw bit for bit
 GOLDEN_SEED3 = {
     "sp": (
-        -1.2591017109775213, -0.42882419054127463, 0.70629446299538035, 0.20290405227501496,
-        -1.1748063154055559, -0.034535952887080321, 0.036801922875662904, -0.72739364601801482,
+        -1.2591017096796409, -0.42882417481085144, 0.70629446305860655, 0.20290405142034237,
+        -1.1748063131420334, -0.034535963983588859, 0.036801906600202411, -0.72739364006411455,
     ),
     "btc": (
-        -4.3804262766743518, -1.4644215621273353, 2.3853228754831042, 0.56411573882363442,
-        -4.0803662615891492, -0.18014611981022124, 0.035046963968919133, -2.5015285501161664,
+        -4.3804262766212441, -1.4644215621000831, 2.3853228754889133, 0.56411573882304278,
+        -4.0803662615428626, -0.18014612016398301, 0.035046963647680486, -2.5015285499974427,
     ),
 }
 

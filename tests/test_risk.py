@@ -38,6 +38,8 @@ from gtsfit.cli import DEFAULT_LEVELS
 from gtsfit.gts_model import GtsParams, save_params
 from gtsfit.spectral import _composite_weights, cdf_at, choose_grid
 
+from conftest import CONFIDENCE_LEVELS, TAIL_LEVELS
+
 
 # -- empirical estimators -----------------------------------------------------
 
@@ -211,27 +213,6 @@ def _quartic_reference(b0, b1, b2, b3, b4):
     return float(y)
 
 
-def _quantile_reference(table, alpha):
-    """(draw, took the linear fallback) for one level."""
-    big_f = table.F
-    m = big_f.size
-    i = int(np.searchsorted(big_f, alpha, side="left")) - 1
-    i = min(max(i, 2), m - 4)
-    fm2, fm1, f0, f1, f2 = (big_f[i + j] for j in range(-2, 3))
-    a1 = (f1 - fm1) / 2.0
-    a2 = fm1 - 2.0 * f0 + f1
-    a3 = (-fm2 + 2.0 * fm1 - 2.0 * f1 + f2) / 2.0
-    a4 = fm2 - 4.0 * fm1 + 6.0 * f0 - 4.0 * f1 + f2
-    fell_back = False
-    try:
-        y = _quartic_reference(f0 - alpha, a1, a2 / 2.0, a3 / 6.0, a4 / 24.0)
-    except NoBracketError:
-        fell_back = True
-        den = f1 - f0
-        y = 0.5 if den <= 0.0 else (alpha - f0) / den
-    return float(table.x[i] + y * (table.x[i + 1] - table.x[i])), fell_back
-
-
 def test_quartic_roots_match_scalar_reference():
     rng = np.random.default_rng(8)
     b = rng.standard_normal((5, 3000)) * np.array([[1.0], [1.0], [0.5], [0.3], [0.2]])
@@ -255,32 +236,43 @@ def test_quartic_roots_match_scalar_reference():
 
 @pytest.mark.parametrize("key", ["sp", "btc"])
 def test_sampler_quantile_edge_levels(key, sp_table, btc_table):
+    # the clamped inverse keeps every level on the table, monotone: at the
+    # extremes of the uniform draw, at and beside the nodes' own CDF values,
+    # where rounding can cancel the cubic's sign change on the cell, and at
+    # seeded levels
     table = sp_table if key == "sp" else btc_table
     big_f, x = table.F, table.x
     edges = [0.0, 5e-324, big_f[0], big_f[2], big_f[-1], 1.0 - 2.0**-53]
-    # levels at and next to the nodes' own CDF values, where rounding can
-    # cancel the quartic's sign change on the cell
     nodes = big_f[:: big_f.size // 700]
     probes = np.concatenate((nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0)))
-    probes = probes[probes < 1.0]
-    fallback = [a for a in probes if _quantile_reference(table, a)[1]]
-    assert any(0.01 < a < 0.99 for a in fallback)  # not only at the clamped ends
     rng = np.random.default_rng(31)
-    levels = np.concatenate((edges, fallback, rng.random(300)))
-    ref = [_quantile_reference(table, a) for a in levels]
-    # all edges but F[2], the clamped bottom cell's own left node, fall back
-    assert [fb for _, fb in ref[:6]] == [True, True, True, False, True, True]
+    levels = np.concatenate((edges, probes[probes < 1.0], rng.random(300)))
     got = _quantile_clamped(table, levels)
-    assert np.array_equal(got, [d for d, _ in ref])
-    assert np.all(np.isfinite(got))
+    assert np.all((got >= x[0]) & (got <= x[-1]))
     order = np.argsort(levels, kind="stable")
     assert np.all(np.diff(got[order]) >= 0.0)
-    # below the table's last CDF value every draw stays on the table; at and
-    # above it the clamped top cell's linear fallback may run past the last
-    # node (SP: 0.2 grid steps at F[-1], 1.0 at 1 - 2**-53)
-    inside = levels < big_f[-1]
-    assert np.all((got[inside] >= x[0]) & (got[inside] <= x[-1]))
-    assert np.all(got[~inside] >= x[-1])
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_sampler_quantile_is_var(key, sp_table, btc_table):
+    # one inverse: wherever var accepts a level the sampler's quantile is var
+    # bit for bit, and the draw reproduces the level through cdf_at within
+    # the root's certified residual (1e-12 times the cell cubic's largest
+    # coefficient) plus the rounding of cdf_at's own evaluation
+    table = sp_table if key == "sp" else btc_table
+    big_f = table.F
+    rng = np.random.default_rng(18)
+    levels = np.concatenate((CONFIDENCE_LEVELS, TAIL_LEVELS, rng.random(10_000)))
+    got = _quantile_clamped(table, levels)
+    i = np.searchsorted(big_f, levels, side="left") - 1
+    accepted = (i >= 2) & (i <= big_f.size - 4)
+    assert accepted.sum() >= levels.size - 2
+    i = np.clip(i, 1, big_f.size - 3)
+    coeffs = np.abs(np.stack((big_f[i] - levels, *spectral._cubic_diffs(big_f, i))))
+    allowed = 1e-12 * coeffs.max(axis=0) + 4.5e-16
+    for k in np.flatnonzero(accepted):
+        assert got[k] == var(table, levels[k])
+        assert abs(cdf_at(table, got[k]) - levels[k]) <= allowed[k]
 
 
 # -- tail payoff via contour integration --------------------------------------
@@ -561,6 +553,23 @@ def test_prob_interval_basics(sp_table):
     )
     with pytest.raises(ValueError):
         prob_interval(sp_table, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_prob_interval_clamps_to_table_span(key, sp_table, btc_table):
+    # the window holds all but ~1e-9 of the mass, so a wider interval is the
+    # table's whole mass and one beside the table is 0; cdf_at itself still
+    # refuses points off the table
+    table = sp_table if key == "sp" else btc_table
+    x = table.x
+    whole = cdf_at(table, x[-1]) - cdf_at(table, x[0])
+    assert prob_interval(table, -1000.0, 1000.0) == whole
+    assert prob_interval(table, -math.inf, math.inf) == whole
+    assert prob_interval(table, x[-1] + 1.0, x[-1] + 2.0) == 0.0
+    assert prob_interval(table, x[0] - 2.0, x[0] - 1.0) == 0.0
+    assert prob_interval(table, -1000.0, 1.23) == cdf_at(table, 1.23) - cdf_at(table, x[0])
+    with pytest.raises(spectral.SpanError):
+        cdf_at(table, x[-1] + 1.0)
 
 
 def test_risk_csv_layout(tmp_path):
