@@ -102,7 +102,8 @@ def load_price_csv(path, columns: Optional[ColumnSpec] = None) -> PriceSeries:
     cols = columns or ColumnSpec()
     rows = []
     dropped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file, header required")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -123,6 +124,8 @@ class GtsParams:
         for n, v in zip(PARAM_NAMES, vals):
             if type(v) not in (int, float):  # JSON numbers only, not true, null or "0.1"
                 raise DomainError(f"parameter {n!r} must be a JSON number, got {v!r}")
+            if type(v) is int and abs(v) > sys.float_info.max:
+                raise DomainError(f"parameter {n!r} is an integer too large for a float")
         return cls(*map(float, vals))
 
 

@@ -242,6 +242,8 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     until the envelope at +-R is below 1e-14 and the step resolves both the
     pole scale q and the oscillation scale of e^{izk}.
     """
+    if not math.isfinite(k):
+        raise ValueError(f"strike k must be finite, got {k}")
     sgn = 1.0 if side is PayoffSide.CALL else -1.0
     lam = params.lambda_plus if side is PayoffSide.CALL else params.lambda_minus
     if not 0.0 < q < lam:
@@ -287,8 +289,7 @@ _ER_LATTICE = 0.1
 def _reconstruction_errors(k: float, q_values: np.ndarray) -> np.ndarray:
     # With t_j = -R + h j and x_l = L (j_lo + l), sum_j kern_j e^{i x_l t_j}
     # is e^{-i x_l R} times the fractional DFT of the kernel row with
-    # delta = -L h/(2 pi) and shift j_lo: one plan per strike, built outside
-    # _bluestein's cache so that a scan cannot evict a grid's plans.
+    # delta = -L h/(2 pi) and shift j_lo: one plan per strike.
     if not math.isfinite(k):
         raise ValueError(f"strike k must be finite, got {k}")
     if not (np.isfinite(q_values).all() and q_values.all()):
@@ -301,7 +302,7 @@ def _reconstruction_errors(k: float, q_values: np.ndarray) -> np.ndarray:
     j_lo = math.ceil((k - _ER_WINDOW) / _ER_LATTICE)
     j_hi = math.floor((k + _ER_WINDOW) / _ER_LATTICE)
     xs = _ER_LATTICE * np.arange(j_lo, j_hi + 1)
-    plan = _bluestein.__wrapped__(nodes, xs.size, -_ER_LATTICE * _ER_STEP / (2.0 * math.pi), j_lo)
+    plan = _bluestein(nodes, xs.size, -_ER_LATTICE * _ER_STEP / (2.0 * math.pi), j_lo)
     raw = (plan(kernels) * np.exp(-1j * _ER_RADIUS * xs)).real.T
     recon = np.exp(-np.outer(xs - k, q_values)) * raw * (_ER_STEP / (2.0 * math.pi))
     return np.sqrt(np.mean((np.maximum(xs - k, 0.0)[:, None] - recon) ** 2, axis=0))

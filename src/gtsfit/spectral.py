@@ -46,29 +46,22 @@ images of the density, damped at the tempering rate and amplified by the
 harmonic content of the periodized quadrature weights, fall below an image
 tolerance inside the output window.
 
-Work that depends only on the grid is cached, so repeated inversions on one
-grid (a fit's iterations and line-search probes) build it once.  Each cache
-is a ``functools.lru_cache`` with a fixed bound, keyed on values, and every
-array it hands out, except the workspace, is read-only:
-
-- the Bluestein plan (chirps, kernel FFT, padded size), keyed on
-  ``(m, n_out, delta, s)``, 4 plans, that is one grid's inversion and
-  pull-back plans and the next grid's (2 plans per grid, ranged or not; a
-  range shrinks ``n_out`` and with it the padded size).  Grids' plans only:
-  ``frft`` and ``risk``'s diagnostic build theirs uncached, so evict none;
-- the half-spectrum weights and the pull-back phase, keyed on the frozen
-  :class:`FourierGrid`, 2 grids each;
-- the 5-smooth transform length, keyed on the requested length, 16 entries;
-- the last order-1 evaluation (``_grad_terms``): F, the gradient of Psi and
-  the side parts its second derivatives are built from, on the xi >= 0
-  half, keyed on ``(params, grid)``, 1 entry.  That is 12 complex arrays of
-  m/2+1 values, 4.4 MB at m = 46 296; the fitter's Hessian reads F and the
-  gradient back from it instead of evaluating them again.  Order-0 terms
-  and the second derivatives are never kept;
-- the transform workspace (``_workspace``), one writable complex row of the
-  padded size that every transform pads into and runs its FFTs on in place,
-  keyed on that size, 1 entry: 1.1 MB at m = 46 296.  Each transform copies
-  its result out, so no caller ever holds a view of it.
+Work that depends only on the grid lives on the frozen :class:`FourierGrid`
+as ``functools.cached_property`` members, built on first use and freed with
+the grid: the folded half-spectrum weights (``half_weights``), the
+inversion plan (``inversion_plan``) and the pull-back plan with its phase
+(``pull_back_plan``), which a ``pdf``, ``risk`` or ``synth`` grid never
+builds.  A fit's iterations and line-search probes reuse one grid object,
+so each is built once per grid.  Their arrays are read-only.
+``_bluestein`` keeps no plan, and a plan allocates the padded buffer it
+transforms rows in on each call.  Besides the constant tables, two
+value-keyed ``lru_cache`` caches remain: ``risk``'s contour nodes, and the
+last order-1 evaluation (``_grad_terms``), keyed on ``(params, grid)``:
+F, the gradient of Psi and the side parts its second derivatives are built
+from, on the xi >= 0 half.  That is 12 complex arrays of m/2+1 values,
+4.4 MB at m = 46 296; the fitter's Hessian reads F and the gradient back
+from it instead of evaluating them again.  Order-0 terms and the second
+derivatives are never kept.
 """
 
 from __future__ import annotations
@@ -77,7 +70,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -171,7 +164,8 @@ class FourierGrid:
 
     The inversion computes the output nodes ``k_lo <= k < k_hi`` of the m+1;
     ``k_hi=None`` runs to node m, and a ``k_hi`` of m+1 is stored as None,
-    so a range covering every node is the default grid."""
+    so a range covering every node is the default grid.  ``a``, ``span``,
+    ``center`` and the derived ``delta`` must be finite."""
 
     a: float
     n: int
@@ -183,8 +177,13 @@ class FourierGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", operator.index(self.n))
+        for name in ("a", "span", "center"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"grid field {name} must be finite, got {value}")
         if not (self.a > 0 and self.n >= 1 and self.span > 0):
             raise ValueError(f"need a > 0, n >= 1 and span > 0, got {self.a}, {self.n}, {self.span}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"grid fields a={self.a} and span={self.span} overflow the transform step delta")
         if not 0.0 <= self.s < 1.0:
             raise ValueError(f"fractional shift must lie in [0, 1), got {self.s}")
         lo = operator.index(self.k_lo)
@@ -215,6 +214,35 @@ class FourierGrid:
     def delta(self) -> float:
         return self.beta_step * self.gamma_step / (2.0 * math.pi)
 
+    @cached_property
+    def half_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Composite weights W_q on xi_q = q beta_step, q = 0..m/2 (xi = 0 at half
+        weight), and the factor 2 beta_step/(2 pi) W_q exp(i center xi_q)."""
+        h = self.m // 2
+        wq = _composite_weights(self.n)[h:]
+        wq[0] *= 0.5
+        scale = self.beta_step / (2.0 * math.pi)
+        return _read_only(wq, 2.0 * scale * wq * np.exp(1j * self.center * self.beta_step * np.arange(h + 1)))
+
+    @cached_property
+    def inversion_plan(self) -> _BluesteinPlan:
+        """Fractional DFT from the xi >= 0 half onto the output nodes."""
+        h = self.m // 2
+        return _bluestein(h + 1, len(self.nodes), -self.delta, self.s - h + self.k_lo)
+
+    @cached_property
+    def pull_back_plan(self) -> tuple[_BluesteinPlan, np.ndarray]:
+        """Fractional DFT from the output nodes onto the xi >= 0 half, and its phase:
+        the factor of :attr:`half_weights` times exp(2 pi i q (s - m/2 + k_lo) delta)."""
+        h = self.m // 2
+        ld = np.longdouble
+        turns = (ld(self.delta) * np.arange(h + 1, dtype=ld) * (ld(self.s) - h + self.k_lo)) % 1
+        # shift is bound to a name, so numpy cannot reuse it as the product's
+        # output and swap the operands (see _pull_back)
+        shift = np.exp(2j * np.pi * turns.astype(float))
+        phase = _read_only(self.half_weights[1] * shift)[0]
+        return _bluestein(len(self.nodes), h + 1, -self.delta, 0.0), phase
+
 
 @dataclass(frozen=True)
 class DensityTable:
@@ -228,7 +256,6 @@ class DensityTable:
     grid: FourierGrid
 
 
-@lru_cache(maxsize=16)
 def _fast_len(n: int) -> int:
     # smallest 5-smooth integer >= n (up to 2**39), the sizes pocketfft does fastest
     n = operator.index(n)
@@ -244,19 +271,10 @@ def _chirp(delta: float, t: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * ((ld(delta) * t.astype(ld) ** 2) % 2).astype(float))
 
 
-@lru_cache(maxsize=1)
-def _workspace(size: int) -> np.ndarray:
-    # The one complex row every transform pads into and runs its FFTs on in
-    # place, kept for the next transform of the same padded size.  Writable,
-    # unlike every other cached array: each transform copies its result out,
-    # and transforms never overlap (the package starts no threads).
-    return np.empty(size, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class _BluesteinPlan:
     """Chirps and kernel FFT of one fractional DFT; calling it transforms rows,
-    one at a time in the shared workspace, into a fresh array."""
+    one at a time in a padded buffer allocated per call, into a fresh array."""
 
     n_out: int
     size: int
@@ -267,7 +285,7 @@ class _BluesteinPlan:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[-1]
         out = np.empty(x.shape[:-1] + (self.n_out,), dtype=complex)
-        buf = _workspace(self.size)
+        buf = np.empty(self.size, dtype=complex)
         # one row per FFT call: numpy's batched FFT allocates a scratch block
         # on every call, while a single contiguous row is transformed in place
         for row, dst in zip(x.reshape(-1, n), out.reshape(-1, self.n_out)):
@@ -280,7 +298,6 @@ class _BluesteinPlan:
         return out
 
 
-@lru_cache(maxsize=4)
 def _bluestein(m: int, n_out: int, delta: float, s: float) -> _BluesteinPlan:
     # Plan for G_k = sum_j x_j exp(-2 pi i j (k+s) delta), k = 0..n_out-1, on
     # rows of length m.  Bluestein's j(k+s) = [j^2 + (k+s)^2 - (k+s-j)^2] / 2
@@ -301,7 +318,7 @@ def frft(seq, delta: float, s: float = 0.0) -> np.ndarray:
     ``s = 0`` reproduces the ordinary DFT.
     """
     x = np.asarray(seq, dtype=complex)
-    return _bluestein.__wrapped__(x.shape[-1], x.shape[-1], delta, s)(x)
+    return _bluestein(x.shape[-1], x.shape[-1], delta, s)(x)
 
 
 def choose_grid(
@@ -404,40 +421,12 @@ def _char_rows(params: GtsParams, grid: FourierGrid, order: int):
     return np.concatenate((np.conj(half[:, :0:-1]), half), axis=1)
 
 
-@lru_cache(maxsize=2)
-def _half_weights(grid: FourierGrid):
-    # Composite weights W_q on xi_q = q beta_step, q = 0..m/2 (xi = 0 at half
-    # weight), and the factor 2 beta_step/(2 pi) W_q exp(i center xi_q) that
-    # folds them, the scale and the window centre into a half-spectrum sample
-    h = grid.m // 2
-    wq = _composite_weights(grid.n)[h:]
-    wq[0] *= 0.5
-    scale = grid.beta_step / (2.0 * math.pi)
-    return _read_only(wq, 2.0 * scale * wq * np.exp(1j * grid.center * grid.beta_step * np.arange(h + 1)))
-
-
-@lru_cache(maxsize=2)
-def _pull_back_phase(grid: FourierGrid) -> np.ndarray:
-    # the half-spectrum sample factor of _half_weights times the output-shift
-    # phase exp(2 pi i q (s - m/2 + k_lo) delta), reduced modulo 1 in long double
-    h = grid.m // 2
-    ld = np.longdouble
-    turns = (ld(grid.delta) * np.arange(h + 1, dtype=ld) * (ld(grid.s) - h + grid.k_lo)) % 1
-    # shift is bound to a name, so numpy cannot reuse it as the product's
-    # output and swap the operands (see _pull_back)
-    shift = np.exp(2j * np.pi * turns.astype(float))
-    return _read_only(_half_weights(grid)[1] * shift)[0]
-
-
 def _transform_half(half: np.ndarray, grid: FourierGrid) -> np.ndarray:
     # f(x_k) on the grid's output nodes from rows on xi_q = q beta_step,
     # q = 0..m/2: twice the real part of the half-spectrum sum
-    h, nodes = grid.m // 2, grid.nodes
-    phase = _half_weights(grid)[1]
-    transform = _bluestein(h + 1, len(nodes), -grid.delta, grid.s - h + nodes.start)
-    out = np.empty((half.shape[0], len(nodes)))
+    out = np.empty((half.shape[0], len(grid.nodes)))
     for row, dst in zip(half, out):
-        dst[:] = transform(row * phase).real
+        dst[:] = grid.inversion_plan(row * grid.half_weights[1]).real
     return out
 
 
@@ -454,13 +443,13 @@ def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
     """
     h = grid.m // 2
     scale = grid.beta_step / (2.0 * math.pi)
-    wq = _half_weights(grid)[0]
+    wq = grid.half_weights[0]
     out = _transform_half(rows[:, h:], grid)
     for i, (r, f) in enumerate(zip(rows, out)):
         # einsum, not @: a threaded BLAS product costs more than it saves here
         bound = scale * np.einsum("q,q->", np.abs(r[h:] - np.conj(r[h::-1])), wq)
         limit = 1e-8 if i < 8 else 1e-6 * (1.0 + float(np.abs(f).max()))
-        if bound > limit:
+        if not bound <= limit:
             raise GridError(f"imaginary residue {bound:.3e} in row {i} exceeds {limit:.3e}")
     return out
 
@@ -476,11 +465,12 @@ def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     as the phase exp(2 pi i q (s - m/2 + k_lo) delta), reduced modulo 1 in
     long double.
     """
-    d = _bluestein(len(grid.nodes), grid.m // 2 + 1, -grid.delta, 0.0)(c)
+    transform, phase = grid.pull_back_plan
+    d = transform(c)
     # phase times d, in that order: a complex product rounds differently with
     # its operands swapped, and numpy may evaluate phase * <temporary> as
     # <temporary> *= phase
-    return np.multiply(_pull_back_phase(grid), d, out=d)
+    return np.multiply(phase, d, out=d)
 
 
 def _output_points(grid: FourierGrid) -> np.ndarray:
@@ -535,10 +525,10 @@ def density_table(params: GtsParams, grid: FourierGrid, with_derivatives: bool =
         raise ValueError(f"density_table needs all {grid.m + 1} output nodes, the grid's range is [{lo}, {hi})")
     x_full, vals = spectral_tables(params, grid, order=1 if with_derivatives else 0)
     f_full = vals[0]
-    if float(f_full.min()) < -1e-10:
+    if not f_full.min() >= -1e-10:
         raise GridError(f"negative density {f_full.min():.3e} below the bound -1e-10")
     cdf, total = _cumulative(f_full, grid)
-    if abs(total - 1.0) > _MASS_TOL:
+    if not abs(total - 1.0) <= _MASS_TOL:
         raise GridError(f"grid too coarse: recovered mass {total:.9f} outside 1 +- {_MASS_TOL:g}")
     cdf = np.clip(cdf / total, 0.0, 1.0)
     np.maximum.accumulate(cdf, out=cdf)

@@ -274,6 +274,17 @@ def test_params_value_must_be_json_number(val, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_params_integer_beyond_float_range(tmp_path, capsys):
+    # float(10**400) overflows: an input error naming the key, not exit 4
+    bad = tmp_path / "huge.json"
+    payload = SP_PARAMS.to_json()
+    payload["mu"] = 10**400
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["pdf", "--params", str(bad), "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert "parameter 'mu' is an integer too large for a float" in capsys.readouterr().err
+
+
 def test_bad_levels_rejected(sp_json, tmp_path):
     code = main([
         "risk", "--params", str(sp_json), "--levels", "0.05,1.5", "--out", str(tmp_path)

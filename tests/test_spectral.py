@@ -31,7 +31,6 @@ from gtsfit.spectral import (
     _fast_len,
     _grad_terms,
     _half_rows,
-    _half_weights,
     _half_xi,
     _interp4,
     _invert_rows,
@@ -39,9 +38,7 @@ from gtsfit.spectral import (
     _output_points,
     _partial_panel_weights,
     _pull_back,
-    _pull_back_phase,
     _weight_harmonics,
-    _workspace,
     cdf_at,
     choose_grid,
     density_table,
@@ -114,7 +111,7 @@ def test_half_weights_are_the_composite_rule(sp_table):
     grid = sp_table.grid
     want = _composite_weights(grid.n)[grid.m // 2 :].copy()
     want[0] *= 0.5
-    assert np.array_equal(_half_weights(grid)[0], want)
+    assert np.array_equal(grid.half_weights[0], want)
 
 
 def test_cubic_rows_are_the_cardinal_cubics():
@@ -247,7 +244,6 @@ def test_fourier_grid_sizes_are_integers():
     for bad in ({"n": 2.5}, {"n": 10.0}, {"k_lo": 1.0}, {"k_hi": 60.5}):
         with pytest.raises(TypeError):
             FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
-    _fast_len.cache_clear()
     assert _fast_len(np.int64(1753)) == 1800
     assert type(_fast_len(np.int64(1753))) is int
 
@@ -438,54 +434,46 @@ def test_grad_terms_cache_holds_no_order_0_terms_or_second_derivatives():
 
 
 def test_transform_result_survives_workspace_reuse():
-    # a plan's result is a fresh array: later transforms that reuse the
-    # workspace, of the same or a larger padded size, leave it unchanged
+    # a plan's result is a fresh array: later transforms by the same or a
+    # larger plan leave it unchanged
     rng = np.random.default_rng(9)
     small = _bluestein(200, 300, 1e-3, 0.0)
     x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     got = small(x)
     kept = got.copy()
-    assert not np.shares_memory(got, _workspace(small.size))
-    _workspace.cache_clear()
+    again = small(rng.standard_normal(200))
+    assert not np.shares_memory(got, again)
     small(rng.standard_normal(200))
-    small(rng.standard_normal(200))
-    assert _workspace.cache_info().hits >= 1
     large = _bluestein(900, 1500, 1e-3, 0.0)
     large(rng.standard_normal((2, 900)))
     assert large.size > small.size
     assert np.array_equal(got, kept)
 
 
-def _clear_plan_caches():
-    for cached in (_bluestein, _fast_len, _half_weights, _pull_back_phase, _grad_terms, _workspace):
-        cached.cache_clear()
-
-
 def test_plan_caches_match_cold_transforms():
     # grids that differ only in the output shift s, or only in the
     # parameters, must never share a plan or a phase: every warm transform
-    # equals the one computed from empty caches
-    grids = [(p, dataclasses.replace(_small_grid(p), s=s)) for p in (SP, BTC) for s in (0.0, 0.3)]
-    rows = [_char_rows(p, grid, 1) for p, grid in grids]
-    c = np.random.default_rng(3).standard_normal(grids[0][1].m + 1)
+    # equals the one computed on a cold copy of its grid
+    params = [p for p in (SP, BTC) for _ in range(2)]
+    grids = [dataclasses.replace(_small_grid(p), s=s) for p, s in zip(params, (0.0, 0.3) * 2)]
+    rows = [_char_rows(p, grid, 1) for p, grid in zip(params, grids)]
+    c = np.random.default_rng(3).standard_normal(grids[0].m + 1)
     cold = []
-    for (_, grid), r in zip(grids, rows):
-        _clear_plan_caches()
-        inv = _invert_rows(r, grid)
-        _clear_plan_caches()
-        cold.append((inv, _pull_back(c, grid)))
-    _clear_plan_caches()
+    for grid, r in zip(grids, rows):
+        fresh = dataclasses.replace(grid)
+        cold.append((_invert_rows(r, fresh), _pull_back(c, fresh)))
     for _ in range(2):
-        for ((_, grid), r), (inv, pb) in zip(zip(grids, rows), cold):
+        for grid, r, (inv, pb) in zip(grids, rows, cold):
             assert np.array_equal(_invert_rows(r, grid), inv)
             assert np.array_equal(_pull_back(c, grid), pb)
+    plans = [obj for g in grids for obj in (g.inversion_plan, *g.pull_back_plan, g.half_weights[1])]
+    assert len({id(obj) for obj in plans}) == len(plans)
 
 
 def test_cached_plan_arrays_are_read_only():
     grid = _small_grid(SP)
-    h = grid.m // 2
-    plan = _bluestein(h + 1, grid.m + 1, -grid.delta, grid.s - h)
-    cached = (plan.pre, plan.kern, plan.post, *_half_weights(grid), _pull_back_phase(grid))
+    plan, (pull, phase) = grid.inversion_plan, grid.pull_back_plan
+    cached = (plan.pre, plan.kern, plan.post, pull.pre, pull.kern, pull.post, *grid.half_weights, phase)
     for arr in cached + (_partial_panel_weights(), _weight_harmonics()):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -512,6 +500,49 @@ def test_non_hermitian_second_order_row_rejected():
     rows[20] += 1e-3j * size * np.exp(-xi * xi)
     with pytest.raises(GridError, match="imaginary residue .* in row 20"):
         _invert_rows(rows, grid)
+
+
+@pytest.mark.parametrize("field", ["a", "span", "center"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_field(field, bad):
+    # a NaN centre or an infinite span used to give a table of NaN densities
+    grid = choose_grid(SP, 8192)
+    with pytest.raises(ValueError, match=f"grid field {field} must be finite, got {bad}"):
+        density_table(SP, dataclasses.replace(grid, **{field: bad}))
+
+
+def test_grid_rejects_non_finite_delta():
+    # finite a and span whose transform step overflows to inf
+    grid = choose_grid(SP, 8192)
+    with pytest.raises(ValueError, match="a=1e\\+200 and span=1e\\+200 overflow the transform step delta"):
+        dataclasses.replace(grid, a=1e200, span=1e200)
+
+
+@pytest.mark.parametrize("gate", ["negative density", "recovered mass", "imaginary residue"])
+def test_gates_fail_non_finite_values(gate, monkeypatch):
+    # each accuracy gate compares as "not value <= bound", so a NaN fails it
+    from gtsfit import spectral
+
+    if gate == "imaginary residue":
+        grid = _small_grid(SP)
+        rows = _char_rows(SP, grid, order=1)
+        rows[0, grid.m // 2 + 5] = math.nan
+        with pytest.raises(GridError, match="imaginary residue nan in row 0"):
+            _invert_rows(rows, grid)
+        return
+    if gate == "negative density":
+        tables = spectral.spectral_tables
+
+        def poisoned(params, grid, order=0):
+            x, vals = tables(params, grid, order)
+            vals[0, 7] = math.nan
+            return x, vals
+
+        monkeypatch.setattr(spectral, "spectral_tables", poisoned)
+    else:
+        monkeypatch.setattr(spectral, "_cumulative", lambda f, grid: (np.zeros(grid.m + 1), math.nan))
+    with pytest.raises(GridError, match=f"{gate} nan"):
+        density_table(SP, choose_grid(SP, 8192))
 
 
 def test_normal_density_round_trip():
