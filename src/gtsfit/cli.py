@@ -134,7 +134,7 @@ def _config_value(key: str, val):
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             blob = json.load(fh)
         if not isinstance(blob, dict):
             raise ConfigError("config file must hold a JSON object")

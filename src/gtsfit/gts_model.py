@@ -134,7 +134,7 @@ def save_params(params: GtsParams, path) -> None:
 
 
 def load_params(path) -> GtsParams:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise DomainError("parameter file must hold a JSON object")

@@ -15,10 +15,10 @@ of that map applied to 1/f: the stencil weights scattered onto the output
 nodes, then one pull-back transform to the xi >= 0 nodes.  The 28
 second-derivative rows are never built or inverted; the Hessian is one
 contraction of F d with the analytic derivatives g and h of the exponent.
-F and g are shared with the inversion: the order-1 table evaluates them on
-the xi >= 0 half and spectral's last-evaluation cache hands them back, with
-the power terms from which h is built, one (beta, alpha, lambda) block per
-jump side (h has no mu row and no cross-side terms).
+F and g are shared with the inversion: the objective evaluates them once on
+the xi >= 0 half, with the power terms from which h is built, one (beta,
+alpha, lambda) block per jump side (h has no mu row and no cross-side
+terms), and hands the same arrays to the order-1 table and the contraction.
 
 Every evaluation inverts only the output nodes the sample reads.  The grid
 of ``_grid_for`` carries an output-node range: the nodes of the 4-point
@@ -53,10 +53,10 @@ from typing import Optional
 import numpy as np
 
 from .data import DegenerateSampleError, write_csv
-from .gts_model import _SIDE_INDEX, DomainError, GtsParams, _side_hess
+from .gts_model import _SIDE_INDEX, DomainError, GtsParams, _char_terms, _side_hess
 from .risk import _quantile_clamped
 from .special_linalg import NumericError, SingularMatrixError, SymMatrix7, eigen_sym, gamma_fn, solve_sym
-from .spectral import DEFAULT_GRID_M, FourierGrid, GridError, SpanError, _grad_terms, _interp4, _output_points
+from .spectral import DEFAULT_GRID_M, FourierGrid, GridError, SpanError, _half_xi, _interp4, _output_points
 from .spectral import _pull_back, _stencil, choose_grid, density_table, spectral_tables
 
 _DENSITY_FLOOR = 1e-300
@@ -135,6 +135,16 @@ def _scatter4(x: np.ndarray, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return sum(np.bincount(idx + o, w * vals, x.size) for o, w in zip((-1, 0, 1, 2), weights))
 
 
+def _finite(data: np.ndarray) -> np.ndarray:
+    # the sample enters the likelihood (_grid_for) and the moment-matched
+    # start here; a non-finite observation would turn every density or
+    # moment into NaN, so it is refused by index before any arithmetic
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise ValueError(f"observation {bad[0]} is {data[bad[0]]}: the sample must be finite")
+    return data
+
+
 def _grid_for(params: GtsParams, data: np.ndarray, grid_m: int) -> FourierGrid:
     # One automatic coverage enlargement when the sample leaves the window.
     # The grid carries the output nodes the sample reads: the 4 stencil
@@ -142,6 +152,7 @@ def _grid_for(params: GtsParams, data: np.ndarray, grid_m: int) -> FourierGrid:
     # rounding in the ranged table's first node and step can neither move
     # a stencil out of the range nor clip it where the full table does not.
     # A range that reaches both table edges is the full grid.
+    _finite(data)
     ends = np.array([data.min(), data.max()])
     for coverage in (_COVERAGE, 2.0 * _COVERAGE):
         grid = choose_grid(params, grid_m, coverage)
@@ -156,34 +167,33 @@ def _grid_for(params: GtsParams, data: np.ndarray, grid_m: int) -> FourierGrid:
     )
 
 
-def _objective(
-    params: GtsParams,
-    data: np.ndarray,
-    grid_m: int,
-    order: int,
-    grid: Optional[FourierGrid] = None,
-):
-    if grid is None:
-        grid = _grid_for(params, data, grid_m)
-    x, rows = spectral_tables(params, grid, min(order, 1))
+def _objective(params: GtsParams, data: np.ndarray, grid: FourierGrid, order: int):
+    # (log L, score, Hessian) at params, None beyond order; from order 1 on,
+    # F, dPsi and the side parts are evaluated once and serve both the
+    # order-1 table and the Hessian contraction
+    if order == 0:
+        x, rows = spectral_tables(params, grid, 0)
+    else:
+        terms = _char_terms(params, _half_xi(grid), True)
+        x, rows = spectral_tables(params, grid, 1, terms=terms)
     vals = _interp4(x, rows, data)
     f = np.maximum(vals[0], _DENSITY_FLOOR)
     ll = float(np.sum(np.log(f)))
     if order == 0:
-        return ll, None, None, grid
+        return ll, None, None
     u = vals[1:8] / f
     score = u.sum(axis=1)
     if order == 1:
-        return ll, score, None, grid
+        return ll, score, None
     # adjoint Hessian (module docstring): Re sum_q F (g_k g_j + h_kj) d_q, xi >= 0,
-    # with F and g the ones the order-1 inversion above evaluated
+    # with the F and g the order-1 inversion above transformed
     d = _pull_back(_scatter4(x, data, 1.0 / f), grid)
-    f, g, s = _grad_terms(params, grid)
+    f, g, s = terms
     fd = f * d
     curv = (g * fd) @ g.T
     for key, ix in _SIDE_INDEX.items():
         curv[np.ix_(ix, ix)] += np.einsum("kjq,q->kj", _side_hess(s[key]), fd)
-    return ll, score, curv.real - u @ u.T, grid
+    return ll, score, curv.real - u @ u.T
 
 
 def loglik(returns, params: GtsParams, grid_m: int = DEFAULT_GRID_M) -> float:
@@ -193,28 +203,25 @@ def loglik(returns, params: GtsParams, grid_m: int = DEFAULT_GRID_M) -> float:
     doubled table span raise :class:`~gtsfit.spectral.SpanError`.
     """
     data = np.asarray(returns, dtype=float)
-    ll, _, _, _ = _objective(params, data, grid_m, order=0)
-    return ll
+    return _objective(params, data, _grid_for(params, data, grid_m), 0)[0]
 
 
 def score(returns, params: GtsParams, grid_m: int = DEFAULT_GRID_M) -> np.ndarray:
     """Gradient of the log likelihood in the canonical parameter order."""
     data = np.asarray(returns, dtype=float)
-    _, g, _, _ = _objective(params, data, grid_m, order=1)
-    return g
+    return _objective(params, data, _grid_for(params, data, grid_m), 1)[1]
 
 
 def observed_hessian(returns, params: GtsParams, grid_m: int = DEFAULT_GRID_M) -> SymMatrix7:
     """Observed-information Hessian of the log likelihood."""
     data = np.asarray(returns, dtype=float)
-    _, _, h, _ = _objective(params, data, grid_m, order=2)
-    return SymMatrix7(h)
+    return SymMatrix7(_objective(params, data, _grid_for(params, data, grid_m), 2)[2])
 
 
 def default_init(returns) -> GtsParams:
     """Moment-matched starting point: sample mean drift, tail indices 1/2,
     tempering at 2/std, intensities splitting the variance evenly."""
-    y = np.asarray(returns, dtype=float)
+    y = _finite(np.asarray(returns, dtype=float))
     s = float(y.std(ddof=1))
     if not s > 0.0:
         raise DegenerateSampleError(f"sample standard deviation {s:.6g}: a fit needs a positive one")
@@ -257,11 +264,7 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
         scale = f"n = {data.size}, standard deviation {data.std(ddof=1):.3e}"
         raise GridError(f"starting grid for a sample of {scale}: {exc}") from exc
     damping_used = 0
-
-    def evaluate(vec: np.ndarray, order: int = 2):
-        return _objective(GtsParams.from_vector(vec), data, opts.grid_m, order, grid)[:3]
-
-    ll, g, hess = evaluate(v)
+    ll, g, hess = _objective(params, data, grid, 2)
     status = FitStatus.MAX_ITER
     for it in range(1, opts.max_iter + 1):
         if not math.isfinite(ll):
@@ -306,19 +309,20 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
         for cand, d in itertools.product((capped(step), capped(-g)), range(opts.step_damping + 1)):
             vn = v - cand * 0.5**d
             try:
-                GtsParams.from_vector(vn).validate()
-                lln = evaluate(vn, order=0)[0]
+                trial = GtsParams.from_vector(vn)
+                trial.validate()
+                lln = _objective(trial, data, grid, 0)[0]
             except (DomainError, SpanError):
                 continue
             if math.isfinite(lln) and lln > floor:
                 break
         else:
             break
-        v, damping_used = vn, d
-        wider = _grid_for(GtsParams.from_vector(v), data, opts.grid_m)
+        v, params, damping_used = vn, trial, d
+        wider = _grid_for(params, data, opts.grid_m)
         if wider.m > grid.m:
             grid = wider
-        ll, g, hess = evaluate(v)
+        ll, g, hess = _objective(params, data, grid, 2)
 
     return GtsParams.from_vector(v), trace, status
 

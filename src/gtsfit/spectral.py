@@ -54,14 +54,11 @@ inversion plan (``inversion_plan``) and the pull-back plan with its phase
 builds.  A fit's iterations and line-search probes reuse one grid object,
 so each is built once per grid.  Their arrays are read-only.
 ``_bluestein`` keeps no plan, and a plan allocates the padded buffer it
-transforms rows in on each call.  Besides the constant tables, two
-value-keyed ``lru_cache`` caches remain: ``risk``'s contour nodes, and the
-last order-1 evaluation (``_grad_terms``), keyed on ``(params, grid)``:
-F, the gradient of Psi and the side parts its second derivatives are built
-from, on the xi >= 0 half.  That is 12 complex arrays of m/2+1 values,
-4.4 MB at m = 46 296; the fitter's Hessian reads F and the gradient back
-from it instead of evaluating them again.  Order-0 terms and the second
-derivatives are never kept.
+transforms rows in on each call.  The only ``lru_cache`` members here are
+the argument-free constant tables; the package's one value-keyed cache is
+``risk``'s contour nodes.  A caller that needs the characteristic-function
+terms again after an inversion (the fitter's Hessian) evaluates them itself
+and hands them to :func:`spectral_tables`.
 """
 
 from __future__ import annotations
@@ -388,22 +385,15 @@ def _half_xi(grid: FourierGrid) -> np.ndarray:
     return np.arange(grid.m // 2 + 1) * grid.beta_step
 
 
-@lru_cache(maxsize=1)
-def _grad_terms(params: GtsParams, grid: FourierGrid):
-    # F, dPsi and the side parts at -xi on the xi >= 0 half: the last order-1
-    # evaluation, which the fitter's Hessian reads back after the inversion
-    f, g, s = _char_terms(params, _half_xi(grid), True)
-    for d in s.values():
-        _read_only(*(v for v in d.values() if isinstance(v, np.ndarray)))
-    return _read_only(f, g) + (s,)
-
-
-def _half_rows(params: GtsParams, grid: FourierGrid, order: int) -> np.ndarray:
+def _half_rows(params: GtsParams, grid: FourierGrid, order: int, terms=None) -> np.ndarray:
     # Characteristic-function samples (and parameter derivative samples) on
-    # the xi >= 0 half, the only half the inversion transforms
+    # the xi >= 0 half, the only half the inversion transforms, from the
+    # _char_terms of params on that half (evaluated here when not given)
+    if terms is None:
+        terms = _char_terms(params, _half_xi(grid), order >= 1)
+    f, g, s = terms
     if order == 0:
-        return _char_terms(params, _half_xi(grid), False)[0][None, :]
-    f, g, s = _grad_terms(params, grid)
+        return f[None, :]
     rows = np.empty((36 if order >= 2 else 8, f.size), dtype=complex)
     rows[0] = f
     np.multiply(f, g, out=rows[1:8])
@@ -495,7 +485,7 @@ def _cumulative(f_full: np.ndarray, grid: FourierGrid):
     return cdf, float(base[n])
 
 
-def spectral_tables(params: GtsParams, grid: FourierGrid, order: int = 0):
+def spectral_tables(params: GtsParams, grid: FourierGrid, order: int = 0, *, terms=None):
     """Raw inversion engine: output points and function rows.
 
     Returns ``(x, rows)`` where ``x`` holds the grid's output nodes (all m+1
@@ -506,8 +496,13 @@ def spectral_tables(params: GtsParams, grid: FourierGrid, order: int = 0):
     order 2 is the direct path that the tests check that Hessian against.
     Only the xi >= 0 half is evaluated and transformed; its rows are
     Hermitian by construction, so no asymmetry gate applies to them.
+
+    ``terms`` is the ``_char_terms(params, xi, grad)`` triple on that half,
+    xi_q = q beta_step for q = 0..m/2, with ``grad`` set from order 1 on:
+    F, the gradient of Psi and the side parts.  A caller that reuses them
+    (the fitter's Hessian) passes them in; omitted, they are evaluated here.
     """
-    vals = _transform_half(_half_rows(params, grid, order), grid)
+    vals = _transform_half(_half_rows(params, grid, order, terms), grid)
     return _output_points(grid), vals
 
 

@@ -184,6 +184,26 @@ def test_vol_windows(returns_csv, tmp_path):
     assert len(rows) == 1 + 599 - 10
 
 
+def test_json_inputs_skip_byte_order_mark(sp_json, tmp_path, capsys):
+    # spreadsheet tools save JSON with a UTF-8 byte-order mark; a marked
+    # parameter or config file gives the unmarked file's artifacts and output
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"synth_n": 64}), encoding="utf-8")
+    marked = {}
+    for path in (sp_json, cfg):
+        marked[path] = tmp_path / f"bom_{path.name}"
+        marked[path].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    runs = {}
+    for tag, params, config in (("plain", sp_json, cfg), ("bom", marked[sp_json], marked[cfg])):
+        out = tmp_path / tag
+        assert main(["pdf", "--params", str(params), "--out", str(out / "pdf")]) == EXIT_OK
+        synth = ["synth", "--config", str(config), "--params", str(sp_json), "--seed", "9", "--out", str(out / "s")]
+        assert main(synth) == EXIT_OK
+        files = (out / "pdf" / "density.csv", out / "s" / "synth.csv")
+        runs[tag] = [f.read_bytes() for f in files], capsys.readouterr().out
+    assert runs["bom"] == runs["plain"]
+
+
 def test_synth_deterministic(sp_json, tmp_path):
     outs = []
     for name in ("s1", "s2"):

@@ -140,7 +140,7 @@ def test_adjoint_hessian_matches_direct_rows(asset, small_sample, btc_sample):
     ll1, score1, _ = _direct_objective(data, params, 1)
     assert np.array_equal(score(data, params), score1)
     # the order-2 objective reads log L and the score off the same rows
-    ll2, score2, _, _ = _objective(params, data, 8192, 2)
+    ll2, score2, _ = _objective(params, data, _grid_for(params, data, 8192), 2)
     assert ll2 == ll1 and np.array_equal(score2, score1)
 
 
@@ -185,14 +185,14 @@ def test_ranged_loglik_matches_full_grid(asset, small_sample, btc_sample):
     ranged = _grid_for(params, data, 8192)
     assert len(ranged.nodes) < 0.5 * ranged.m
     full = dataclasses.replace(ranged, k_lo=0, k_hi=None)
-    want = _objective(params, data, 8192, 0, full)[0]
-    assert abs(_objective(params, data, 8192, 0, ranged)[0] - want) <= 1e-14 * abs(want)
+    want = _objective(params, data, full, 0)[0]
+    assert abs(_objective(params, data, ranged, 0)[0] - want) <= 1e-14 * abs(want)
 
 
 def test_hessian_shares_the_inversion_char_terms(small_sample, monkeypatch):
-    # the order-2 objective evaluates F and dPsi once, for the order-1
-    # inversion, and its Hessian contraction reads them back
-    from gtsfit import spectral
+    # the order-2 objective evaluates F and dPsi once, hands them to the
+    # order-1 inversion and contracts the same arrays for its Hessian
+    from gtsfit import mle, spectral
 
     calls = []
     real = spectral._char_terms
@@ -202,9 +202,26 @@ def test_hessian_shares_the_inversion_char_terms(small_sample, monkeypatch):
         return real(params, xi, grad)
 
     monkeypatch.setattr(spectral, "_char_terms", counting)
-    spectral._grad_terms.cache_clear()
+    monkeypatch.setattr(mle, "_char_terms", counting)
     observed_hessian(small_sample, SP)
     assert calls == [True]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("entry", ["loglik", "score", "observed_hessian", "fit", "fit_default_start"])
+def test_non_finite_observation_is_named(entry, bad, small_sample):
+    # a non-finite observation is refused where the sample enters, with its
+    # index and value, before any arithmetic on it
+    data = np.insert(small_sample, 37, bad)
+    call = {
+        "loglik": lambda: loglik(data, SP),
+        "score": lambda: score(data, SP),
+        "observed_hessian": lambda: observed_hessian(data, SP),
+        "fit": lambda: fit(data, init=SP, options=FitOptions(max_iter=2)),
+        "fit_default_start": lambda: fit(data, options=FitOptions(max_iter=2)),
+    }[entry]
+    with pytest.raises(ValueError, match=f"observation 37 is {bad}: the sample must be finite"):
+        call()
 
 
 def test_default_init_valid(small_sample):
@@ -317,9 +334,9 @@ def test_fit_builds_each_plan_once_per_grid(small_sample, monkeypatch):
     grids, builds = set(), []
     build = spectral._bluestein
 
-    def recording(params, grid, order=0):
+    def recording(params, grid, order=0, *, terms=None):
         grids.add(grid.m)
-        return spectral_tables(params, grid, order)
+        return spectral_tables(params, grid, order, terms=terms)
 
     def counting(*key):
         builds.append(key)

@@ -1,15 +1,18 @@
 """Transform engine: quadrature weights, fractional DFT, density inversion."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gtsfit import spectral
 from gtsfit.gts_model import (
     _SIDE_INDEX,
     GtsParams,
+    _char_terms,
     _psi_grad,
     _psi_hess,
     _side_hess,
@@ -29,7 +32,6 @@ from gtsfit.spectral import (
     _composite_weights,
     _cumulative,
     _fast_len,
-    _grad_terms,
     _half_rows,
     _half_xi,
     _interp4,
@@ -380,6 +382,16 @@ def test_spectral_tables_match_full_row_inversion(params, order):
     x, vals = spectral_tables(params, grid, order)
     assert np.array_equal(x, _output_points(grid))
     assert np.array_equal(vals, _invert_rows(_char_rows(params, grid, order), grid))
+    # terms handed in (F, dPsi and the side parts on the xi >= 0 half) give
+    # the same bits as the ones spectral_tables evaluates when they are omitted
+    q = grid.m // 2 + 1
+    terms = _char_terms(params, _half_xi(grid), order >= 1)
+    f, g, parts = terms
+    assert f.shape == (q,) and (g is None if order == 0 else g.shape == (7, q))
+    sides = [v for d in parts.values() for v in d.values() if isinstance(v, np.ndarray)]
+    assert len(sides) == 4 and all(v.shape == (q,) for v in sides)
+    x_t, vals_t = spectral_tables(params, grid, order, terms=terms)
+    assert np.array_equal(x_t, x) and np.array_equal(vals_t, vals)
 
 
 @pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
@@ -396,41 +408,13 @@ def test_side_hess_contraction_matches_dense(params):
     assert np.array_equal(got, np.einsum("kjq,q->kj", _psi_hess(-xi, s), fd))
 
 
-def test_grad_terms_cache_is_read_only():
-    f, g, s = _grad_terms(SP, _small_grid(SP))
-    arrays = [f, g] + [v for d in s.values() for v in d.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 6
-    for arr in arrays:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-
-def test_grad_terms_cache_keyed_on_values():
-    grid = _small_grid(SP)
-    _grad_terms.cache_clear()
-    first = _grad_terms(SP, grid)
-    # equal values in new objects hit
-    again = _grad_terms(GtsParams.from_vector(SP.to_vector()), dataclasses.replace(grid))
-    assert again is first and _grad_terms.cache_info().hits == 1
-    # a different parameter or a different grid misses
-    moved = dataclasses.replace(SP, mu=SP.mu + 1e-9)
-    assert _grad_terms(moved, grid) is not first
-    assert _grad_terms(SP, dataclasses.replace(grid, s=0.3)) is not first
-    assert _grad_terms.cache_info().misses == 3
-
-
-def test_grad_terms_cache_holds_no_order_0_terms_or_second_derivatives():
-    grid = _small_grid(SP)
-    q = grid.m // 2 + 1
-    _grad_terms.cache_clear()
-    spectral_tables(SP, grid, 0)
-    assert _grad_terms.cache_info().currsize == 0
-    spectral_tables(SP, grid, 2)
-    f, g, s = _grad_terms(SP, grid)
-    assert _grad_terms.cache_info().hits == 1
-    assert f.shape == (q,) and g.shape == (7, q)
-    assert all(v.shape == (q,) for d in s.values() for v in d.values() if isinstance(v, np.ndarray))
+def test_spectral_caches_take_no_arguments():
+    # the only lru_caches in spectral are the constant tables: nothing is
+    # cached under a parameter set or a grid
+    caches = [v for v in vars(spectral).values() if callable(v) and hasattr(v, "cache_info")]
+    assert {"_nc_exact", "_partial_panel_weights", "_weight_harmonics"} <= {c.__name__ for c in caches}
+    for c in caches:
+        assert not inspect.signature(c.__wrapped__).parameters, c.__name__
 
 
 def test_transform_result_survives_workspace_reuse():
