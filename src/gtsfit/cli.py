@@ -54,7 +54,6 @@ class RunConfig:
     interval: tuple = (-1.06, 1.23)
     max_iter: int = FitOptions.max_iter
     grad_tol: float = FitOptions.grad_tol
-    step_damping: int = FitOptions.step_damping
 
     def validate(self) -> None:
         if self.grid_m < 12 or self.grid_m % 12 != 0:
@@ -65,7 +64,7 @@ class RunConfig:
             for lv in self.levels:
                 if not 0.0 < lv < 0.5:
                     raise ConfigError(f"risk level {lv} outside (0, 0.5): levels are tail probabilities")
-        for name, least in (("seed", 0), ("synth_n", 1), ("max_iter", 1), ("step_damping", 1)):
+        for name, least in (("seed", 0), ("synth_n", 1), ("max_iter", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
@@ -112,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _CONFIG_TYPES = {
     **dict.fromkeys(("input_path", "params_path"), (str, type(None))),
     **dict.fromkeys(("date_column", "price_column", "output_dir"), str),
-    **dict.fromkeys(("grid_m", "seed", "synth_n", "max_iter", "step_damping"), int),
+    **dict.fromkeys(("grid_m", "seed", "synth_n", "max_iter"), int),
     "levels": (list, type(None)),
     "interval": list,
     "window": (str, int, type(None)),
@@ -255,12 +254,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     init = None
     if cfg.params_path is not None:
         init = _require_params(cfg)
-    opts = FitOptions(
-        max_iter=cfg.max_iter,
-        grad_tol=cfg.grad_tol,
-        step_damping=cfg.step_damping,
-        grid_m=cfg.grid_m,
-    )
+    opts = FitOptions(max_iter=cfg.max_iter, grad_tol=cfg.grad_tol, grid_m=cfg.grid_m)
     params, trace, status = fit(rets.values, init, opts)
     outdir = _outdir(cfg)
     save_params(params, outdir / "params.json")

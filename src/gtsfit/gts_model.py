@@ -173,7 +173,8 @@ def activity_class(params: GtsParams) -> ActivityClass:
 
 
 def _side_parts(params: GtsParams, xi, with_psi: bool = False):
-    # Per-side scratch values shared by the exponent and its derivatives.
+    # Per-side scratch values shared by the exponent and its derivatives; the
+    # powers they read (w^beta - lambda^beta, w^(beta-1)) are formed here once.
     sides = {}
     for key, b, a, lam, sgn in (
         ("p", params.beta_plus, params.alpha_plus, params.lambda_plus, -1.0),
@@ -196,9 +197,12 @@ def _side_parts(params: GtsParams, xi, with_psi: bool = False):
             "Pl": lam**b,
             "llam": math.log(lam),
         }
+        parts["diff"] = parts["P"] - parts["Pl"]
         if with_psi:
             parts["psi0"] = digamma_fn(-b)
             parts["psi1"] = trigamma_fn(-b)
+            parts["wbm1"] = np.exp((b - 1.0) * logw)
+            parts["lbm1"] = lam ** (b - 1.0)
         sides[key] = parts
     return sides
 
@@ -208,8 +212,8 @@ def _exponent(params: GtsParams, xi, s):
     p, m = s["p"], s["m"]
     return (
         1j * params.mu * np.asarray(xi)
-        + p["a"] * p["g"] * (p["P"] - p["Pl"])
-        + m["a"] * m["g"] * (m["P"] - m["Pl"])
+        + p["a"] * p["g"] * p["diff"]
+        + m["a"] * m["g"] * m["diff"]
     )
 
 
@@ -234,12 +238,9 @@ def _psi_grad(xi, s) -> np.ndarray:
     out[0] = 1j * xi
     for key, (idx_b, idx_a, idx_l) in _SIDE_INDEX.items():
         d = s[key]
-        b, a, g = d["b"], d["a"], d["g"]
-        diff = d["P"] - d["Pl"]
-        wbm1 = np.exp((b - 1.0) * d["logw"])
-        lbm1 = d["lam"] ** (b - 1.0)
+        b, a, g, diff = d["b"], d["a"], d["g"], d["diff"]
         out[idx_a] = g * diff
-        out[idx_l] = a * g * b * (wbm1 - lbm1)
+        out[idx_l] = a * g * b * (d["wbm1"] - d["lbm1"])
         out[idx_b] = a * g * (
             -d["psi0"] * diff + d["P"] * d["logw"] - d["Pl"] * d["llam"]
         )
@@ -253,11 +254,8 @@ def _side_hess(d) -> np.ndarray:
     Psi is linear in alpha, so the (alpha, alpha) entry is zero.
     """
     b, a, g, psi0, psi1 = d["b"], d["a"], d["g"], d["psi0"], d["psi1"]
-    logw, llam = d["logw"], d["llam"]
-    diff = d["P"] - d["Pl"]
-    wbm1 = np.exp((b - 1.0) * logw)
+    logw, llam, diff, wbm1, lbm1 = d["logw"], d["llam"], d["diff"], d["wbm1"], d["lbm1"]
     wbm2 = np.exp((b - 2.0) * logw)
-    lbm1 = d["lam"] ** (b - 1.0)
     lbm2 = d["lam"] ** (b - 2.0)
     dlog = d["P"] * logw - d["Pl"] * llam
     out = np.zeros((3, 3) + logw.shape, dtype=complex)

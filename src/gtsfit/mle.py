@@ -62,6 +62,7 @@ from .spectral import _pull_back, _stencil, choose_grid, density_table, spectral
 _DENSITY_FLOOR = 1e-300
 _COVERAGE = 40.0
 _SAMPLE_BLOCK = 8192  # levels per quantile call in sample_inverse_cdf
+_STEP_DAMPING = 50  # deepest damping level d of a trial step, scaled by 0.5**d
 
 
 class FitStatus(enum.Enum):
@@ -89,7 +90,6 @@ class NonFiniteLikelihoodError(_FitError):
 class FitOptions:
     max_iter: int = 100
     grad_tol: float = 1e-6
-    step_damping: int = 50
     grid_m: int = DEFAULT_GRID_M
 
 
@@ -306,7 +306,7 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
         # within rounding are accepted; steepest ascent is the fallback when
         # the Newton direction finds no acceptable point at any damping level
         floor = ll - 1e-11 * (1.0 + abs(ll))
-        for cand, d in itertools.product((capped(step), capped(-g)), range(opts.step_damping + 1)):
+        for cand, d in itertools.product((capped(step), capped(-g)), range(_STEP_DAMPING + 1)):
             vn = v - cand * 0.5**d
             try:
                 trial = GtsParams.from_vector(vn)

@@ -34,7 +34,7 @@ import numpy as np
 from .data import write_csv
 from .gts_model import GtsParams, char_exponent
 from .special_linalg import NumericError
-from .spectral import DensityTable, _bluestein, _composite_weights, _cubic_diffs, _read_only, cdf_at
+from .spectral import _WINDOW_TOL, DensityTable, _bluestein, _composite_weights, _cubic_diffs, _read_only, cdf_at
 
 
 class TailSide(enum.Enum):
@@ -198,11 +198,17 @@ def var(table: DensityTable, alpha: float) -> float:
     The exact inverse of :func:`~gtsfit.spectral.cdf_at`: locates the CDF
     bracket F_i < alpha <= F_{i+1} and solves, on that cell, the 4-point cubic
     through F_{i-1}..F_{i+2} from the coefficients ``cdf_at`` evaluates; it
-    changes sign there because it interpolates F_i and F_{i+1}.  Brackets
-    within two nodes of the table edge raise :class:`BracketEdgeError`.
+    changes sign there because it interpolates F_i and F_{i+1}.  A level
+    within 1e-9 of 0 or 1, the tail mass the table's window may leave out
+    (:func:`~gtsfit.spectral.choose_grid`), and brackets within two nodes of
+    the table edge raise :class:`BracketEdgeError`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not _WINDOW_TOL <= alpha <= 1.0 - _WINDOW_TOL:
+        raise BracketEdgeError(
+            f"level {alpha!r} lies within {_WINDOW_TOL:g} of 0 or 1, beyond the tail mass the table's window resolves"
+        )
     m = table.F.size
     i = int(np.searchsorted(table.F, alpha, side="left")) - 1
     if i < 2 or i > m - 4:

@@ -31,10 +31,10 @@ observed Hessian uses it instead of inverting second-derivative rows.
 Because the fractional FFT decouples the output grid from the frequency
 grid, a :class:`FourierGrid` may carry an output-node range
 ``[k_lo, k_hi)``: the inversion then computes only those nodes of the m+1,
-with the plan ``(m/2+1, k_hi-k_lo, -delta, s - m/2 + k_lo)``, and the
+with the plan ``(m/2+1, k_hi-k_lo, -delta, k_lo - m/2)``, and the
 pull-back takes its weights on those nodes only, with the plan
 ``(k_hi-k_lo, m/2+1, -delta, 0)`` and the phase
-exp(2 pi i q (s - m/2 + k_lo) delta).  The fitter's grid carries the range
+exp(2 pi i q (k_lo - m/2) delta).  The fitter's grid carries the range
 its sample reads; ``choose_grid`` never sets one, and a range covering all
 m+1 nodes is stored as the default, so full-grid callers build the same
 plans as without ranges.  ``density_table`` refuses a ranged grid.
@@ -71,7 +71,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import _CSV_BLOCK_ROWS, write_csv  # the block size stays importable here
+from .data import write_csv
 from .gts_model import GtsParams, _char_terms, _psi_hess, char_fn, cumulants
 from .special_linalg import NumericError
 
@@ -156,8 +156,8 @@ def _weight_harmonics() -> np.ndarray:
 @dataclass(frozen=True)
 class FourierGrid:
     """Transform geometry: frequency span ``a`` over ``n`` panels of 12 nodes,
-    and an output window of width ``span`` around ``center``, shifted by
-    ``s`` output steps.  The m = 12 n steps of both grids are derived.
+    and an output window of width ``span`` with node m/2 on ``center``.  The
+    m = 12 n steps of both grids are derived.
 
     The inversion computes the output nodes ``k_lo <= k < k_hi`` of the m+1;
     ``k_hi=None`` runs to node m, and a ``k_hi`` of m+1 is stored as None,
@@ -168,7 +168,6 @@ class FourierGrid:
     n: int
     span: float
     center: float
-    s: float = 0.0
     k_lo: int = 0
     k_hi: int | None = None
 
@@ -181,8 +180,6 @@ class FourierGrid:
             raise ValueError(f"need a > 0, n >= 1 and span > 0, got {self.a}, {self.n}, {self.span}")
         if not math.isfinite(self.delta):
             raise ValueError(f"grid fields a={self.a} and span={self.span} overflow the transform step delta")
-        if not 0.0 <= self.s < 1.0:
-            raise ValueError(f"fractional shift must lie in [0, 1), got {self.s}")
         lo = operator.index(self.k_lo)
         hi = self.m + 1 if self.k_hi is None else operator.index(self.k_hi)
         if not 0 <= lo < hi <= self.m + 1:
@@ -225,15 +222,15 @@ class FourierGrid:
     def inversion_plan(self) -> _BluesteinPlan:
         """Fractional DFT from the xi >= 0 half onto the output nodes."""
         h = self.m // 2
-        return _bluestein(h + 1, len(self.nodes), -self.delta, self.s - h + self.k_lo)
+        return _bluestein(h + 1, len(self.nodes), -self.delta, self.k_lo - h)
 
     @cached_property
     def pull_back_plan(self) -> tuple[_BluesteinPlan, np.ndarray]:
         """Fractional DFT from the output nodes onto the xi >= 0 half, and its phase:
-        the factor of :attr:`half_weights` times exp(2 pi i q (s - m/2 + k_lo) delta)."""
+        the factor of :attr:`half_weights` times exp(2 pi i q (k_lo - m/2) delta)."""
         h = self.m // 2
         ld = np.longdouble
-        turns = (ld(self.delta) * np.arange(h + 1, dtype=ld) * (ld(self.s) - h + self.k_lo)) % 1
+        turns = (ld(self.delta) * np.arange(h + 1, dtype=ld) * ld(self.k_lo - h)) % 1
         # shift is bound to a name, so numpy cannot reuse it as the product's
         # output and swap the operands (see _pull_back)
         shift = np.exp(2j * np.pi * turns.astype(float))
@@ -451,9 +448,9 @@ def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     xi_q = q beta_step, q = 0..m/2, with
     sum_k c_k _invert_rows(rows, grid)[r, k] = Re sum_q rows[r, m/2 + q] d_q
     for every row.  One fractional FFT of ``c`` gives
-    sum_k c_k exp(2 pi i q k delta); the output shift s - m/2 + k_lo enters
-    as the phase exp(2 pi i q (s - m/2 + k_lo) delta), reduced modulo 1 in
-    long double.
+    sum_k c_k exp(2 pi i q k delta); the output offset k_lo - m/2 enters
+    as the phase exp(2 pi i q (k_lo - m/2) delta), reduced modulo 1 in long
+    double.
     """
     transform, phase = grid.pull_back_plan
     d = transform(c)
@@ -465,7 +462,7 @@ def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
 
 def _output_points(grid: FourierGrid) -> np.ndarray:
     k = np.arange(grid.nodes.start, grid.nodes.stop)
-    return grid.center + (k + grid.s - grid.m / 2.0) * grid.gamma_step
+    return grid.center + (k - grid.m / 2.0) * grid.gamma_step
 
 
 def _cumulative(f_full: np.ndarray, grid: FourierGrid):

@@ -334,11 +334,15 @@ def test_grid_m_multiple_of_12(sp_json, tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_unknown_config_key(sp_json, tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"grid_n": 12}), encoding="utf-8")
-    code = main(["pdf", "--config", str(cfg), "--params", str(sp_json), "--out", str(tmp_path)])
-    assert code == EXIT_INPUT
+def test_unknown_config_key(sp_json, tmp_path, capsys):
+    # a misspelt key and a retired one (the fitter's step_damping, now fixed)
+    # both end in exit 2 naming the key
+    for key, val in (("grid_n", 12), ("step_damping", 50)):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: val}), encoding="utf-8")
+        code = main(["pdf", "--config", str(cfg), "--params", str(sp_json), "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -354,7 +358,6 @@ def test_unknown_config_key(sp_json, tmp_path):
         ("levels", []),
         ("interval", None),
         ("max_iter", 0),
-        ("step_damping", 0),
         ("grad_tol", 0),
         ("seed", -1),
     ],

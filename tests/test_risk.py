@@ -174,6 +174,20 @@ def test_var_edge_bracket(sp_table):
         var(sp_table, 1e-15)
 
 
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_var_refuses_levels_beyond_the_window_tail_mass(key, sp_table, btc_table):
+    # the window may leave up to 1e-9 of mass outside on each side, so a
+    # quantile at a smaller tail level would be read off the window's edge
+    # (SP at 1e-12: -28.38 on the table against -32.36 on a 4x wider window)
+    table = sp_table if key == "sp" else btc_table
+    for level in (1e-10, 1e-12, 1.0 - 1e-10, 1.0 - 1e-12):
+        with pytest.raises(BracketEdgeError, match=rf"level {level!r} lies within 1e-09 of 0 or 1"):
+            var(table, level)
+    # the bound itself, on either side, is still a quantile inside the window
+    lo, hi = var(table, spectral._WINDOW_TOL), var(table, 1.0 - spectral._WINDOW_TOL)
+    assert table.x[0] < lo < var(table, 0.005) < var(table, 0.995) < hi < table.x[-1]
+
+
 # -- sampler quantile ---------------------------------------------------------
 #
 # The scalar solver and sampler quantile as they stood before they were
@@ -265,7 +279,8 @@ def test_sampler_quantile_is_var(key, sp_table, btc_table):
     levels = np.concatenate((CONFIDENCE_LEVELS, TAIL_LEVELS, rng.random(10_000)))
     got = _quantile_clamped(table, levels)
     i = np.searchsorted(big_f, levels, side="left") - 1
-    accepted = (i >= 2) & (i <= big_f.size - 4)
+    inside = (levels >= spectral._WINDOW_TOL) & (levels <= 1.0 - spectral._WINDOW_TOL)
+    accepted = (i >= 2) & (i <= big_f.size - 4) & inside
     assert accepted.sum() >= levels.size - 2
     i = np.clip(i, 1, big_f.size - 3)
     coeffs = np.abs(np.stack((big_f[i] - levels, *spectral._cubic_diffs(big_f, i))))
@@ -457,10 +472,11 @@ def test_avar_orders_around_var(sp_params, sp_table):
 
 def test_avar_matches_quantile_average(sp_params, sp_table):
     # AVaR equals the level-average of VaR over the whole tail (0, a].  In
-    # u = log y the integrand VaR(e^u) e^u is smooth down to the table's own
-    # floor, below which the tail contributes ~1e-9 (as in test_09); starting
-    # at y = a/400 instead would drop 0.02 of the average.
-    floor = max(float(sp_table.F[8]), 1e-13)
+    # u = log y the integrand VaR(e^u) e^u is smooth down to the 1e-9 of tail
+    # mass the window resolves, below which var refuses levels and the tail
+    # adds under 1e-6 to the average (as in test_09); starting at y = a/400
+    # instead would drop 0.02 of the average.
+    floor = max(float(sp_table.F[8]), spectral._WINDOW_TOL)
     for a in (0.05, 0.10):
         rep = avar(sp_params, sp_table, a, TailSide.LOWER_TAIL)
         us = np.linspace(math.log(floor), math.log(a), 400)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gtsfit import spectral
+from gtsfit.data import _CSV_BLOCK_ROWS
 from gtsfit.gts_model import (
     _SIDE_INDEX,
     GtsParams,
@@ -21,7 +22,6 @@ from gtsfit.gts_model import (
     cumulants,
 )
 from gtsfit.spectral import (
-    _CSV_BLOCK_ROWS,
     _CUBIC,
     _PAIRS,
     FourierGrid,
@@ -214,11 +214,13 @@ def test_grid_validates_arguments():
 
 
 def test_fourier_grid_rejects_bad_geometry():
-    for bad in ({"a": 0.0}, {"n": 0}, {"span": -1.0}, {"s": 1.0}, {"s": -0.1}):
+    for bad in ({"a": 0.0}, {"n": 0}, {"span": -1.0}):
         with pytest.raises(ValueError):
             FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
     g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0)
-    assert (g.m, g.beta_step, g.gamma_step, g.s) == (120, 64.0 / 120, 8.0 / 120, 0.0)
+    assert (g.m, g.beta_step, g.gamma_step) == (120, 64.0 / 120, 8.0 / 120)
+    # the output lattice has no shift of its own: node k sits at center + (k - m/2) gamma_step
+    assert [f.name for f in dataclasses.fields(g)] == ["a", "n", "span", "center", "k_lo", "k_hi"]
 
 
 def test_fourier_grid_rejects_bad_node_range():
@@ -264,7 +266,7 @@ def test_two_stage_matches_direct_sum():
     rows = _char_rows(SP, grid, order=0)
     got = _invert_rows(rows, grid)[0]
 
-    m, beta, gamma, delta, s = grid.m, grid.beta_step, grid.gamma_step, grid.delta, grid.s
+    m, beta, delta = grid.m, grid.beta_step, grid.delta
     q = np.arange(m + 1)
     xi = (q - m / 2.0) * beta
     v = rows[0] * np.exp(1j * grid.center * xi) * np.exp(-1j * np.pi * delta * m * q)
@@ -273,12 +275,12 @@ def test_two_stage_matches_direct_sum():
     for p in range(grid.n):
         w[12 * p : 12 * p + 13] += w12
     k = np.arange(m + 1)
-    phase = np.exp(2j * np.pi * delta * np.outer(q, k + s))
+    phase = np.exp(2j * np.pi * delta * np.outer(q, k))
     S = (w * v) @ phase
     want = (
         beta / (2.0 * math.pi)
         * np.exp(1j * np.pi * delta * m * m / 2.0)
-        * np.exp(-1j * np.pi * delta * m * (k + s))
+        * np.exp(-1j * np.pi * delta * m * k)
         * S
     )
     assert np.max(np.abs(got - np.real(want))) < 1e-11
@@ -302,11 +304,18 @@ def test_derivative_rows_match_direct_sum(order):
     assert np.max(np.abs(got - want)) < 1e-11
 
 
-@pytest.mark.parametrize("s", [0.0, 0.3])
-def test_pull_back_is_adjoint_of_inversion(s):
+def _shifted_grid(params, shift, **nodes):
+    # the small grid with its center moved by ``shift`` output steps: a
+    # fractional shift puts the output lattice off the default one
+    grid = _small_grid(params)
+    return dataclasses.replace(grid, center=grid.center + shift * grid.gamma_step, **nodes)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_pull_back_is_adjoint_of_inversion(shift):
     # sum_k c_k f_r(x_k) == Re sum_q rows[r, m/2+q] d_q for every row, d the
-    # pull-back of c; s = 0.3 exercises the output phase
-    grid = dataclasses.replace(_small_grid(SP), s=s)
+    # pull-back of c, on the default lattice and one shifted by 0.3 steps
+    grid = _shifted_grid(SP, shift)
     rows = _char_rows(SP, grid, 2)
     assert rows.shape[0] == 36
     out = _invert_rows(rows, grid)
@@ -318,13 +327,13 @@ def test_pull_back_is_adjoint_of_inversion(s):
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
 
 
-@pytest.mark.parametrize("s", [0.0, 0.3])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
 @pytest.mark.parametrize("k_lo, k_hi", [(70, 220), (150, 289)])
-def test_ranged_pull_back_is_adjoint_of_ranged_inversion(s, k_lo, k_hi):
+def test_ranged_pull_back_is_adjoint_of_ranged_inversion(shift, k_lo, k_hi):
     # the identity of test_pull_back_is_adjoint_of_inversion on a grid that
     # inverts only the output nodes k_lo..k_hi-1 of 289.  A sum over part of
     # the window can cancel, so the bound scales with the sum of |terms|
-    grid = dataclasses.replace(_small_grid(SP), s=s, k_lo=k_lo, k_hi=k_hi)
+    grid = _shifted_grid(SP, shift, k_lo=k_lo, k_hi=k_hi)
     rows = _char_rows(SP, grid, 2)
     out = _invert_rows(rows, grid)
     assert out.shape == (36, k_hi - k_lo)
@@ -388,8 +397,9 @@ def test_spectral_tables_match_full_row_inversion(params, order):
     terms = _char_terms(params, _half_xi(grid), order >= 1)
     f, g, parts = terms
     assert f.shape == (q,) and (g is None if order == 0 else g.shape == (7, q))
+    # per side: log w, w^beta and w^beta - lambda^beta, from order 1 on w^(beta-1)
     sides = [v for d in parts.values() for v in d.values() if isinstance(v, np.ndarray)]
-    assert len(sides) == 4 and all(v.shape == (q,) for v in sides)
+    assert len(sides) == (8 if order >= 1 else 6) and all(v.shape == (q,) for v in sides)
     x_t, vals_t = spectral_tables(params, grid, order, terms=terms)
     assert np.array_equal(x_t, x) and np.array_equal(vals_t, vals)
 
@@ -435,19 +445,20 @@ def test_transform_result_survives_workspace_reuse():
 
 
 def test_plan_caches_match_cold_transforms():
-    # grids that differ only in the output shift s, or only in the
+    # grids that differ only in the first output node k_lo, or only in the
     # parameters, must never share a plan or a phase: every warm transform
     # equals the one computed on a cold copy of its grid
     params = [p for p in (SP, BTC) for _ in range(2)]
-    grids = [dataclasses.replace(_small_grid(p), s=s) for p, s in zip(params, (0.0, 0.3) * 2)]
+    grids = [dataclasses.replace(_small_grid(p), k_lo=k_lo) for p, k_lo in zip(params, (0, 5) * 2)]
     rows = [_char_rows(p, grid, 1) for p, grid in zip(params, grids)]
-    c = np.random.default_rng(3).standard_normal(grids[0].m + 1)
+    rng = np.random.default_rng(3)
+    cs = [rng.standard_normal(len(grid.nodes)) for grid in grids]
     cold = []
-    for grid, r in zip(grids, rows):
+    for grid, r, c in zip(grids, rows, cs):
         fresh = dataclasses.replace(grid)
         cold.append((_invert_rows(r, fresh), _pull_back(c, fresh)))
     for _ in range(2):
-        for grid, r, (inv, pb) in zip(grids, rows, cold):
+        for grid, r, c, (inv, pb) in zip(grids, rows, cs, cold):
             assert np.array_equal(_invert_rows(r, grid), inv)
             assert np.array_equal(_pull_back(c, grid), pb)
     plans = [obj for g in grids for obj in (g.inversion_plan, *g.pull_back_plan, g.half_weights[1])]
