@@ -14,10 +14,18 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+# One BLAS thread per command: gtsfit's matrix products are small, and an
+# OpenBLAS worker pool costs more CPU starting and spinning idle than it
+# saves.  A caller's setting wins, and a process that already holds numpy
+# (whose pool is started) is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

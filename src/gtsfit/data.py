@@ -104,24 +104,27 @@ def load_price_csv(path, columns: Optional[ColumnSpec] = None) -> PriceSeries:
     dropped = 0
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file, header required")
+        index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
         for name in (cols.date_column, cols.price_column):
-            if name not in reader.fieldnames:
+            if name not in index:
                 raise ParseError(f"{path}: missing column {name!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            raw_date = rec.get(cols.date_column)
-            if raw_date is None:
+        di, pi = index[cols.date_column], index[cols.price_column]
+        # blank rows are skipped and not counted in the line number
+        for lineno, rec in enumerate(filter(None, reader), start=2):
+            if di >= len(rec):
                 raise ParseError(f"{path}:{lineno}: missing date cell")
+            raw_date = rec[di]
             try:
                 when = dt.date.fromisoformat(raw_date.strip())
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad date {raw_date!r}") from None
-            raw_price = rec.get(cols.price_column)
             try:
-                price = float(raw_price)
-            except (TypeError, ValueError):
+                price = float(rec[pi])
+            except (IndexError, ValueError):
                 dropped += 1
                 continue
             if not math.isfinite(price) or price <= 0.0:

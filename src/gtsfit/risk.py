@@ -202,6 +202,13 @@ def var(table: DensityTable, alpha: float) -> float:
     within 1e-9 of 0 or 1, the tail mass the table's window may leave out
     (:func:`~gtsfit.spectral.choose_grid`), and brackets within two nodes of
     the table edge raise :class:`BracketEdgeError`.
+
+    The table's CDF is 0 at the window's left edge, where the true CDF is
+    the mass eps_L the window leaves out (about 2e-11 on the SP and BTC
+    tables), so ``var(alpha)`` is the true quantile at alpha + eps_L, and at
+    1 - t - eps_R for an upper level 1 - t (eps_R < 1e-12).  ``risk.csv``'s
+    lower-tail 4 decimals hold down to levels of about 1e-6 (SP; 1e-5 for
+    BTC's wider tails).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -277,7 +284,7 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     h = 2.0 * radius / (12 * panels)
     z, psi, wt = _contour(params, sgn * q, radius, panels)
     vals = np.exp(1j * z * k + psi) / (z * z)
-    # einsum, not @: a threaded BLAS product costs more than it saves here
+    # einsum, not @: OpenBLAS's dot would change the sum's rounding
     acc = -h * np.einsum("q,q->", wt, vals) / (2.0 * math.pi)
     if abs(acc.imag) > (limit := 1e-7 * (1.0 + abs(acc.real))):
         raise ContourError(

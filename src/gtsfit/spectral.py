@@ -433,7 +433,7 @@ def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
     wq = grid.half_weights[0]
     out = _transform_half(rows[:, h:], grid)
     for i, (r, f) in enumerate(zip(rows, out)):
-        # einsum, not @: a threaded BLAS product costs more than it saves here
+        # einsum, not @: OpenBLAS's dot would change the sum's rounding
         bound = scale * np.einsum("q,q->", np.abs(r[h:] - np.conj(r[h::-1])), wq)
         limit = 1e-8 if i < 8 else 1e-6 * (1.0 + float(np.abs(f).max()))
         if not bound <= limit:

@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,3 +488,65 @@ def test_fit_tiny_variance_error_names_sample_scale(tmp_path, capsys):
     assert main(["fit", "--input", str(prices), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert f"sample of n = {rets.size}, standard deviation {np.std(rets, ddof=1):.3e}: " in err
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _fresh(code, **env_set):
+    """Run ``code`` in a new interpreter on this tree's gtsfit; its stdout is one JSON value."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = _SRC
+    env.update(env_set)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_import_gtsfit_loads_no_numpy():
+    code = (
+        "import json, os, sys; before = dict(os.environ); import gtsfit; "
+        "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))"
+    )
+    assert _fresh(code) == [False, True]
+
+
+def test_lazy_public_names_resolve():
+    import gtsfit
+    from gtsfit import gts_model, mle, risk, spectral
+
+    namespace = {}
+    exec("from gtsfit import *", namespace)
+    assert set(gtsfit.__all__) <= set(namespace)
+    for name in gtsfit.__all__:
+        assert getattr(gtsfit, name) is namespace[name]
+    assert gtsfit.GtsParams is gts_model.GtsParams and gtsfit.choose_grid is spectral.choose_grid
+    assert gtsfit.fit is mle.fit and gtsfit.var is risk.var
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        gtsfit.nope
+
+
+def test_cli_defaults_to_one_blas_thread():
+    code = (
+        "import json, os\n"
+        "from gtsfit.cli import main\n"
+        "import numpy as np\n"
+        "a = np.ones((256, 256)); a @ a\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "blas = np.__config__.CONFIG['Build Dependencies']['blas']['name']\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks, blas]))"
+    )
+    threads, tasks, blas = _fresh(code)
+    assert threads == "1"
+    if tasks is not None and "openblas" in blas:
+        assert tasks == 1  # no worker pool beside the main thread
+
+
+def test_cli_keeps_a_preset_blas_thread_count():
+    code = "import json, os; import gtsfit.cli; print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))"
+    assert _fresh(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_cli_leaves_a_process_holding_numpy_alone():
+    code = "import json, os; import numpy; import gtsfit.cli; print(json.dumps('OPENBLAS_NUM_THREADS' in os.environ))"
+    assert _fresh(code) is False

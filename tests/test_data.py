@@ -1,5 +1,7 @@
 """CSV ingestion, return construction, realized volatility, sample summaries."""
 
+import csv
+import datetime as dt
 import math
 from fractions import Fraction
 
@@ -93,6 +95,79 @@ def test_load_empty(price_csv):
     path = price_csv([])
     with pytest.raises(EmptyDataError):
         load_price_csv(path)
+
+
+def _dictreader_load(path, cols=ColumnSpec()):
+    """The loader as it read rows through csv.DictReader, kept as the oracle."""
+    rows, dropped = [], 0
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: empty file, header required")
+        for name in (cols.date_column, cols.price_column):
+            if name not in reader.fieldnames:
+                raise ParseError(f"{path}: missing column {name!r}")
+        for lineno, rec in enumerate(reader, start=2):
+            raw_date = rec.get(cols.date_column)
+            if raw_date is None:
+                raise ParseError(f"{path}:{lineno}: missing date cell")
+            try:
+                when = dt.date.fromisoformat(raw_date.strip())
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad date {raw_date!r}") from None
+            try:
+                price = float(rec.get(cols.price_column))
+            except (TypeError, ValueError):
+                dropped += 1
+                continue
+            if not math.isfinite(price) or price <= 0.0:
+                dropped += 1
+                continue
+            rows.append((when, price))
+    if not rows:
+        raise EmptyDataError(f"{path}: no usable rows after cleaning")
+    rows.sort(key=lambda r: r[0])
+    dedup = dict(rows)
+    dates = tuple(sorted(dedup))
+    return dates, [dedup[d] for d in dates], dropped
+
+
+def _outcome(load, path):
+    try:
+        out = load(path)
+    except (ParseError, EmptyDataError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, data.PriceSeries):
+        return out.dates, out.prices.tolist(), out.dropped
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # blank rows are skipped and do not count toward the line number
+        "Date,Adj Close\n2024-01-02,100\n\n2024-01-03,101\n\n\n2024-01-04,102\n",
+        "Date,Adj Close\n2024-01-02,100\n\n2024-01-03,101\n\n03/01/2024,102\n",
+        # a short row: no price is a dropped row, no date cell an error
+        "Date,Adj Close\n2024-01-02,100\n2024-01-03\n2024-01-04,102\n",
+        "Adj Close,Date\n100,2024-01-02\n\n101\n",
+        "Date,Adj Close\n2024-01-02,100\n\n,\n",
+        # duplicate dates keep the last row, after a stable sort
+        "Date,Adj Close\n2024-01-03,101\n2024-01-02,100\n2024-01-03,103\n2024-01-02,99\n",
+        # a repeated column name reads its last column, None past a short row's end
+        "Date,Adj Close,Date\n1999-01-01,100,2024-01-02\n1999-01-02,101,2024-01-03,extra\n",
+        "Date,Adj Close,Date\n1999-01-01,100,2024-01-02\n1999-01-02,101\n",
+        "Date,Adj Close,Adj Close\n2024-01-02,100,7\n2024-01-03,101\n",
+        # blank header, empty file, header only
+        "\nDate,Adj Close\n2024-01-02,100\n",
+        "",
+        "Date,Adj Close\n\n",
+    ],
+)
+def test_load_matches_dictreader(tmp_path, text):
+    path = tmp_path / "prices.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(load_price_csv, path) == _outcome(_dictreader_load, path)
 
 
 def test_log_returns_telescope(price_csv):
