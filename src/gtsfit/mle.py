@@ -25,18 +25,21 @@ of ``_grid_for`` carries an output-node range: the nodes of the 4-point
 stencils of the sample's extremes, plus 2 nodes either side, so each data
 point's stencil is the one the full table gives it.  That is about a
 quarter of the window, which is sized for the CDF tables, so every transform
-of a fit runs on about half the padded FFT length; the log likelihood agrees
-with the full-window one to rounding (1e-14 relative).
+of a fit runs on about a third of the full window's padded FFT length (the
+frequency half, h+1 nodes, is about a twelfth of the m+1 output nodes);
+the log likelihood agrees with the full-window one to rounding (1e-14
+relative).
 
 The optimizer is one damped Newton ascent on the exact observed Hessian.
 The transform grid is chosen once at the starting point and is replaced only
-when the grid chosen at an accepted point has more nodes; the accepted point
-is then evaluated again on the new grid, so the log likelihood comparison
-restarts there.  The Hessian is shifted past its largest eigenvalue when it
-is not safely negative definite, steps are capped relative to the parameter
-scale, and a trial point is accepted when it passes ``GtsParams.validate``
-and does not lower the log likelihood beyond rounding (1e-11 relative);
-line-search probes evaluate only the likelihood row on the current grid.
+when the grid chosen at an accepted point has more output or frequency
+nodes; the accepted point is then evaluated again on the new grid, so the
+log likelihood comparison restarts there.  The Hessian is shifted past its
+largest eigenvalue when it is not safely negative definite, steps are
+capped relative to the parameter scale, and a trial point is accepted when
+it passes ``GtsParams.validate`` and does not lower the log likelihood
+beyond rounding (1e-11 relative); line-search probes evaluate only the
+likelihood row on the current grid.
 The convergence certificate (score norm and largest eigenvalue) therefore
 always comes from the true second derivatives.
 """
@@ -320,7 +323,7 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
             break
         v, params, damping_used = vn, trial, d
         wider = _grid_for(params, data, opts.grid_m)
-        if wider.m > grid.m:
+        if wider.m > grid.m or wider.h > grid.h:
             grid = wider
         ll, g, hess = _objective(params, data, grid, 2)
 

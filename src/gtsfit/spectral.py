@@ -1,29 +1,41 @@
 """Density recovery from the characteristic function on fractional FFT grids.
 
 The density f and its parameter derivatives are obtained by discretizing the
-inverse Fourier integral with a composite 12-subinterval Newton-Cotes rule in
-frequency and evaluating the resulting sums with fractional FFTs.  Frequency
-spacing ``beta_step`` and output spacing ``gamma_step`` are decoupled through
-the transform parameter ``delta = beta_step * gamma_step / (2 pi)``, so the
-output window can track the distribution's own scale instead of the FFT
-reciprocal grid.
+inverse Fourier integral with the trapezoid rule in frequency and evaluating
+the resulting sums with fractional FFTs.  Frequency spacing ``beta_step`` and
+output spacing ``gamma_step`` are decoupled through the transform parameter
+``delta = beta_step * gamma_step / (2 pi)``, so the output window can track
+the distribution's own scale instead of the FFT reciprocal grid, and the
+frequency side has its own node count: 2h+1 nodes xi_q = (q - h) a/(2h)
+against the m+1 output nodes.
 
-This module defines the package's two discretisation rules once each.  The
-composite weights (``_composite_weights``) serve the inversion here and the
-AVaR contour in ``risk``.  The 4-point cubic (``_CUBIC``) interpolates the
-fitter's rows (``_interp4``); ``cdf_at`` evaluates and ``risk``'s quantile
-solve (behind ``var`` and the sampler) solves one set of its coefficients
-(``_cubic_diffs``), so VaR and the draws invert the CDF exactly.
+The trapezoid rule on the frequency side departs from the paper, which names
+the composite 12-point Newton-Cotes rule.  On a characteristic function that
+is analytic in a strip and below 1e-12 at +-a/2 the trapezoid sum converges
+geometrically, and its only aliased images of the density sit a whole
+quadrature period 4 pi h / a away; the Newton-Cotes weights repeat every 12
+nodes and put images at 1/12 of that period, so they need up to 12 times the
+frequency nodes for the same error (``scripts/xi_rule_scan.py`` measures
+both rules against a reference sum and against ``bench/oracle.py``).
+
+This module defines the package's two remaining discretisation rules once
+each.  The composite Newton-Cotes weights (``_composite_weights``,
+``_partial_panel_weights``) serve the CDF's panel sums on the output nodes
+here and the AVaR contour in ``risk``.  The 4-point cubic (``_CUBIC``)
+interpolates the fitter's rows (``_interp4``); ``cdf_at`` evaluates and
+``risk``'s quantile solve (behind ``var`` and the sampler) solves one set of
+its coefficients (``_cubic_diffs``), so VaR and the draws invert the CDF
+exactly.
 
 The sums are evaluated in one shot.  Every row is Hermitian (F(-xi) =
 conj F(xi), for the derivative rows too), so the characteristic function
-and its derivatives are evaluated on the m/2+1 samples with xi >= 0 only.
+and its derivatives are evaluated on the h+1 samples with xi >= 0 only.
 The weights are folded into those samples, one fractional FFT per row,
 padded to a 5-smooth length, takes them and the result is twice its real
 part.  ``_char_rows`` mirrors the half onto the whole symmetric grid for the
 tests, and ``_invert_rows`` checks the symmetry of rows a caller supplies
 before it transforms their xi >= 0 half.  A direct evaluation of the
-composite sum is the cross-check in the tests.
+trapezoid sum is the cross-check in the tests.
 The exact transpose of that map, the pull-back, takes weights on the output
 points back to the xi >= 0 samples in one more fractional FFT; the fitter's
 observed Hessian uses it instead of inverting second-derivative rows.
@@ -31,9 +43,9 @@ observed Hessian uses it instead of inverting second-derivative rows.
 Because the fractional FFT decouples the output grid from the frequency
 grid, a :class:`FourierGrid` may carry an output-node range
 ``[k_lo, k_hi)``: the inversion then computes only those nodes of the m+1,
-with the plan ``(m/2+1, k_hi-k_lo, -delta, k_lo - m/2)``, and the
+with the plan ``(h+1, k_hi-k_lo, -delta, k_lo - m/2)``, and the
 pull-back takes its weights on those nodes only, with the plan
-``(k_hi-k_lo, m/2+1, -delta, 0)`` and the phase
+``(k_hi-k_lo, h+1, -delta, 0)`` and the phase
 exp(2 pi i q (k_lo - m/2) delta).  The fitter's grid carries the range
 its sample reads; ``choose_grid`` never sets one, and a range covering all
 m+1 nodes is stored as the default, so full-grid callers build the same
@@ -41,10 +53,13 @@ plans as without ranges.  ``density_table`` refuses a ranged grid.
 
 Grid selection sizes the output window from the slower tempering rate,
 doubles the frequency span until the characteristic function tail is
-negligible, then enlarges the panel count until the nearest aliased
-images of the density, damped at the tempering rate and amplified by the
-harmonic content of the periodized quadrature weights, fall below an image
-tolerance inside the output window.
+negligible, then sizes the two node counts from the distance the aliased
+images of the density, damped at the tempering rate, must keep from the
+output window.  The frequency count h puts the trapezoid period that far
+out with the margin ``_XI_MARGIN``.  The output count m keeps the rule of
+the Newton-Cotes frequency sum it was made for (the images amplified by
+the harmonic content of the periodized panel weights), so every table
+keeps its output nodes and the CDF panels their width.
 
 Work that depends only on the grid lives on the frozen :class:`FourierGrid`
 as ``functools.cached_property`` members, built on first use and freed with
@@ -80,6 +95,10 @@ _IMG_TOL = 1e-11
 _MASS_TOL = 1e-4
 _WINDOW_TOL = 1e-9
 _NODE_CAP = 2**21  # 5x the largest regular grid (BTC, refine 2, coverage 80)
+# the trapezoid period over the distance the images must clear: the SP and
+# BTC order-1 tables are 5e-13 and 2e-15 off a sum on 3x the nodes at 1.25,
+# 1.2e-12 and 2.5e-12 at 1.0, 2e-8 and 4e-8 at 0.8 (scripts/xi_rule_scan.py)
+_XI_MARGIN = 1.25
 DEFAULT_GRID_M = 8196  # the library's and the command line's default transform size
 
 
@@ -149,20 +168,24 @@ def _composite_weights(panels: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _weight_harmonics() -> np.ndarray:
     # Magnitudes of the 12-periodic harmonics of the periodized panel weights,
-    # one period starting at an interior panel joint
+    # one period starting at an interior panel joint; they size the output
+    # count m only
     return _read_only(np.abs(np.fft.fft(_composite_weights(2)[12:24]) / 12.0))[0]
 
 
 @dataclass(frozen=True)
 class FourierGrid:
-    """Transform geometry: frequency span ``a`` over ``n`` panels of 12 nodes,
-    and an output window of width ``span`` with node m/2 on ``center``.  The
-    m = 12 n steps of both grids are derived.
+    """Transform geometry: an output window of width ``span`` with m = 12 n
+    steps and node m/2 on ``center``, and a frequency span ``a`` sampled at
+    the 2h+1 nodes xi_q = (q - h) a/(2h), summed by the trapezoid rule.
+    ``h=None`` is stored as m/2, the frequency count of a grid whose two
+    sides have one step count; ``choose_grid`` sets its own.
 
     The inversion computes the output nodes ``k_lo <= k < k_hi`` of the m+1;
     ``k_hi=None`` runs to node m, and a ``k_hi`` of m+1 is stored as None,
     so a range covering every node is the default grid.  ``a``, ``span``,
-    ``center`` and the derived ``delta`` must be finite."""
+    ``center`` and the derived ``delta`` must be finite; ``n`` and ``h`` are
+    integers of at least 1."""
 
     a: float
     n: int
@@ -170,14 +193,18 @@ class FourierGrid:
     center: float
     k_lo: int = 0
     k_hi: int | None = None
+    h: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "h", self.m // 2 if self.h is None else operator.index(self.h))
         for name in ("a", "span", "center"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"grid field {name} must be finite, got {value}")
-        if not (self.a > 0 and self.n >= 1 and self.span > 0):
-            raise ValueError(f"need a > 0, n >= 1 and span > 0, got {self.a}, {self.n}, {self.span}")
+        if not (self.a > 0 and self.n >= 1 and self.h >= 1 and self.span > 0):
+            raise ValueError(
+                f"need a > 0, n >= 1, h >= 1 and span > 0, got {self.a}, {self.n}, {self.h}, {self.span}"
+            )
         if not math.isfinite(self.delta):
             raise ValueError(f"grid fields a={self.a} and span={self.span} overflow the transform step delta")
         lo = operator.index(self.k_lo)
@@ -198,7 +225,7 @@ class FourierGrid:
 
     @property
     def beta_step(self) -> float:
-        return self.a / self.m
+        return self.a / (2 * self.h)
 
     @property
     def gamma_step(self) -> float:
@@ -210,32 +237,30 @@ class FourierGrid:
 
     @cached_property
     def half_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Composite weights W_q on xi_q = q beta_step, q = 0..m/2 (xi = 0 at half
-        weight), and the factor 2 beta_step/(2 pi) W_q exp(i center xi_q)."""
-        h = self.m // 2
-        wq = _composite_weights(self.n)[h:]
-        wq[0] *= 0.5
+        """Trapezoid weights W_q on xi_q = q beta_step, q = 0..h: 1/2 at xi = 0
+        (whose real part is doubled with the rest) and at xi = a/2, 1 between;
+        and the factor 2 beta_step/(2 pi) W_q exp(i center xi_q)."""
+        wq = np.ones(self.h + 1)
+        wq[0] = wq[-1] = 0.5
         scale = self.beta_step / (2.0 * math.pi)
-        return _read_only(wq, 2.0 * scale * wq * np.exp(1j * self.center * self.beta_step * np.arange(h + 1)))
+        return _read_only(wq, 2.0 * scale * wq * np.exp(1j * self.center * self.beta_step * np.arange(self.h + 1)))
 
     @cached_property
     def inversion_plan(self) -> _BluesteinPlan:
         """Fractional DFT from the xi >= 0 half onto the output nodes."""
-        h = self.m // 2
-        return _bluestein(h + 1, len(self.nodes), -self.delta, self.k_lo - h)
+        return _bluestein(self.h + 1, len(self.nodes), -self.delta, self.k_lo - self.m // 2)
 
     @cached_property
     def pull_back_plan(self) -> tuple[_BluesteinPlan, np.ndarray]:
         """Fractional DFT from the output nodes onto the xi >= 0 half, and its phase:
         the factor of :attr:`half_weights` times exp(2 pi i q (k_lo - m/2) delta)."""
-        h = self.m // 2
         ld = np.longdouble
-        turns = (ld(self.delta) * np.arange(h + 1, dtype=ld) * ld(self.k_lo - h)) % 1
+        turns = (ld(self.delta) * np.arange(self.h + 1, dtype=ld) * ld(self.k_lo - self.m // 2)) % 1
         # shift is bound to a name, so numpy cannot reuse it as the product's
         # output and swap the operands (see _pull_back)
         shift = np.exp(2j * np.pi * turns.astype(float))
         phase = _read_only(self.half_weights[1] * shift)[0]
-        return _bluestein(len(self.nodes), h + 1, -self.delta, 0.0), phase
+        return _bluestein(len(self.nodes), self.h + 1, -self.delta, 0.0), phase
 
 
 @dataclass(frozen=True)
@@ -330,12 +355,17 @@ def choose_grid(
     at the window edges, and the mass left outside the window stays below
     about 1e-9 (2e-11 for the reference SP and BTC fits).
     The frequency span doubles until the characteristic function is below
-    1e-12 at both ends; the panel count starts at ``m_target`` points
-    (rounded up to a multiple of 12) and grows until the aliased images of
-    the density, entering at the quadrature period and decaying at the
-    slower tempering rate, stay below 1e-11 across the output window.
-    ``refine`` multiplies the final panel count.  A grid of more than 2**21
-    nodes raises :class:`GridError` before anything of that size is built.
+    1e-12 at both ends.  The trapezoid sum's aliased images of the density
+    repeat with the period 4 pi h / a and decay at the slower tempering
+    rate; they stay below 1e-11 across the output window once the period
+    exceeds a distance ``need``, and the frequency half count h puts it at
+    ``_XI_MARGIN`` times ``need``.  The output count m starts at ``m_target`` points
+    (rounded up to a multiple of 12) and grows to the count the composite
+    Newton-Cotes frequency sum needed, whose weight harmonics put images at
+    fractions of its period; it sets the output step and the CDF panels.
+    ``refine`` multiplies the final panel count and h.  A grid of more than
+    2**21 output nodes raises :class:`GridError` before anything of that
+    size is built.
     """
     params.validate()
     if m_target < 12:
@@ -371,15 +401,17 @@ def choose_grid(
     n = max(math.ceil(m_target / 12.0), math.ceil(m_img / 12.0)) * refine
     if 12 * n > _NODE_CAP:
         raise GridError(f"grid needs m = {12 * n} nodes, above the cap of {_NODE_CAP}")
-    return FourierGrid(a=a, n=n, span=span, center=center)
+    need = half + d0 + max(0.0, math.log(big_b / _IMG_TOL)) / lam_min
+    h = math.ceil(_XI_MARGIN * need * a / (4.0 * math.pi)) * refine
+    return FourierGrid(a=a, n=n, span=span, center=center, h=h)
 
 
 _PAIRS = [(k, j) for k in range(7) for j in range(k, 7)]
 
 
 def _half_xi(grid: FourierGrid) -> np.ndarray:
-    # the xi >= 0 half of the frequency grid: xi_q = q beta_step, q = 0..m/2
-    return np.arange(grid.m // 2 + 1) * grid.beta_step
+    # the xi >= 0 half of the frequency grid: xi_q = q beta_step, q = 0..h
+    return np.arange(grid.h + 1) * grid.beta_step
 
 
 def _half_rows(params: GtsParams, grid: FourierGrid, order: int, terms=None) -> np.ndarray:
@@ -402,15 +434,15 @@ def _half_rows(params: GtsParams, grid: FourierGrid, order: int, terms=None) -> 
 
 
 def _char_rows(params: GtsParams, grid: FourierGrid, order: int):
-    # The rows on the symmetric frequency grid xi_q = (q - m/2) beta_step,
-    # q = 0..m: the xi >= 0 half and its Hermitian mirror r(-xi) = conj r(xi)
+    # The rows on the symmetric frequency grid xi_q = (q - h) beta_step,
+    # q = 0..2h: the xi >= 0 half and its Hermitian mirror r(-xi) = conj r(xi)
     half = _half_rows(params, grid, order)
     return np.concatenate((np.conj(half[:, :0:-1]), half), axis=1)
 
 
 def _transform_half(half: np.ndarray, grid: FourierGrid) -> np.ndarray:
     # f(x_k) on the grid's output nodes from rows on xi_q = q beta_step,
-    # q = 0..m/2: twice the real part of the half-spectrum sum
+    # q = 0..h: twice the real part of the half-spectrum sum
     out = np.empty((half.shape[0], len(grid.nodes)))
     for row, dst in zip(half, out):
         dst[:] = grid.inversion_plan(row * grid.half_weights[1]).real
@@ -420,15 +452,15 @@ def _transform_half(half: np.ndarray, grid: FourierGrid) -> np.ndarray:
 def _invert_rows(rows: np.ndarray, grid: FourierGrid) -> np.ndarray:
     """Inverse transform of char-function sample rows, one fractional FFT each.
 
-    ``rows`` (R, m+1) samples Hermitian functions at xi_q = (q - m/2) beta_step;
+    ``rows`` (R, 2h+1) samples Hermitian functions at xi_q = (q - h) beta_step;
     the result holds f(x_k) = beta_step/(2 pi) sum_q W_q rows[q] exp(i xi_q x_k)
-    on the points of :func:`_output_points`, W the composite weights, as
+    on the points of :func:`_output_points`, W the trapezoid weights, as
     twice the real part of the xi >= 0 half (xi = 0 at half weight).  A row's
     asymmetry beta_step/(2 pi) sum_{xi>=0} W |r(xi) - conj r(-xi)| bounds the
     imaginary residue of the full sum; it must stay below 1e-8 on the leading
     8 rows and below 1e-6 (1 + max|f|) on second-order rows.
     """
-    h = grid.m // 2
+    h = grid.h
     scale = grid.beta_step / (2.0 * math.pi)
     wq = grid.half_weights[0]
     out = _transform_half(rows[:, h:], grid)
@@ -445,8 +477,8 @@ def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     """Transpose of :func:`_invert_rows` on the xi >= 0 half.
 
     For real ``c`` on the grid's output nodes, returns the complex ``d`` on
-    xi_q = q beta_step, q = 0..m/2, with
-    sum_k c_k _invert_rows(rows, grid)[r, k] = Re sum_q rows[r, m/2 + q] d_q
+    xi_q = q beta_step, q = 0..h, with
+    sum_k c_k _invert_rows(rows, grid)[r, k] = Re sum_q rows[r, h + q] d_q
     for every row.  One fractional FFT of ``c`` gives
     sum_k c_k exp(2 pi i q k delta); the output offset k_lo - m/2 enters
     as the phase exp(2 pi i q (k_lo - m/2) delta), reduced modulo 1 in long
@@ -495,7 +527,7 @@ def spectral_tables(params: GtsParams, grid: FourierGrid, order: int = 0, *, ter
     Hermitian by construction, so no asymmetry gate applies to them.
 
     ``terms`` is the ``_char_terms(params, xi, grad)`` triple on that half,
-    xi_q = q beta_step for q = 0..m/2, with ``grad`` set from order 1 on:
+    xi_q = q beta_step for q = 0..h, with ``grad`` set from order 1 on:
     F, the gradient of Psi and the side parts.  A caller that reuses them
     (the fitter's Hessian) passes them in; omitted, they are evaluated here.
     """

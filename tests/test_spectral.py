@@ -108,11 +108,12 @@ def test_composite_weights_exact_to_degree_13(panels):
         assert float(w @ t**k) / n == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0.0), k
 
 
-def test_half_weights_are_the_composite_rule(sp_table):
-    # the xi >= 0 half of the composite weights, xi = 0 at half weight
+def test_half_weights_are_the_trapezoid_rule(sp_table):
+    # the xi >= 0 half of the trapezoid weights on the 2h+1 frequency nodes:
+    # 1/2 at xi = 0 (its real part is doubled with the rest) and at xi = a/2
     grid = sp_table.grid
-    want = _composite_weights(grid.n)[grid.m // 2 :].copy()
-    want[0] *= 0.5
+    want = np.ones(grid.h + 1)
+    want[0] = want[-1] = 0.5
     assert np.array_equal(grid.half_weights[0], want)
 
 
@@ -183,6 +184,7 @@ def test_grid_refine_multiplies():
     g1 = choose_grid(p, m_target=1200)
     g8 = choose_grid(p, m_target=1200, refine=8)
     assert g8.n == 8 * g1.n
+    assert g8.h == 8 * g1.h
     assert g8.a == g1.a
 
 
@@ -192,6 +194,28 @@ def test_grid_centered_on_mean():
     x = _output_points(g)
     assert x.shape == (g.m + 1,)
     assert np.allclose(np.diff(x), g.gamma_step)
+
+
+@pytest.mark.parametrize("params, m", [(SP, 21036), (BTC, 153912)], ids=["sp", "btc"])
+def test_grid_xi_count_is_below_half_the_output_count(params, m):
+    # the output count keeps the size the Newton-Cotes frequency sum needed;
+    # the trapezoid sum takes fewer frequency nodes than m/2
+    grid = choose_grid(params, 8192)
+    assert grid.m == m
+    assert grid.h < grid.m // 2
+
+
+@pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
+def test_table_matches_three_times_the_xi_nodes(params):
+    # the chosen frequency count sits on the trapezoid sum's error floor: f, F
+    # and the seven gradient rows agree with the table on three times the
+    # frequency nodes within 1e-12 of each row's maximum
+    grid = choose_grid(params)
+    got = density_table(params, grid, with_derivatives=True)
+    ref = density_table(params, dataclasses.replace(grid, h=3 * grid.h), with_derivatives=True)
+    assert np.array_equal(got.x, ref.x)
+    for row, want in zip((got.f, got.F, *got.df), (ref.f, ref.F, *ref.df)):
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_grid_rejects_untempered_tail():
@@ -214,13 +238,18 @@ def test_grid_validates_arguments():
 
 
 def test_fourier_grid_rejects_bad_geometry():
-    for bad in ({"a": 0.0}, {"n": 0}, {"span": -1.0}):
+    for bad in ({"a": 0.0}, {"n": 0}, {"span": -1.0}, {"h": 0}, {"h": -4}):
         with pytest.raises(ValueError):
             FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
+    with pytest.raises(TypeError):
+        FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=45.0)
     g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0)
-    assert (g.m, g.beta_step, g.gamma_step) == (120, 64.0 / 120, 8.0 / 120)
+    assert (g.m, g.h, g.beta_step, g.gamma_step) == (120, 60, 64.0 / 120, 8.0 / 120)
+    # the frequency side has its own node count; h=None is stored as m/2
+    assert g == FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=60)
+    assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=np.int64(45)).beta_step == 64.0 / 90
     # the output lattice has no shift of its own: node k sits at center + (k - m/2) gamma_step
-    assert [f.name for f in dataclasses.fields(g)] == ["a", "n", "span", "center", "k_lo", "k_hi"]
+    assert [f.name for f in dataclasses.fields(g)] == ["a", "n", "span", "center", "k_lo", "k_hi", "h"]
 
 
 def test_fourier_grid_rejects_bad_node_range():
@@ -260,48 +289,54 @@ def _small_grid(params, n=24, coverage=20.0):
     return FourierGrid(a=64.0, n=n, span=coverage * math.sqrt(cum.kappa(2)), center=cum.kappa(1))
 
 
-def test_two_stage_matches_direct_sum():
-    # the panel-split evaluation must agree with the plain composite sum
-    grid = _small_grid(SP)
-    rows = _char_rows(SP, grid, order=0)
-    got = _invert_rows(rows, grid)[0]
+def _trapezoid(nodes):
+    # trapezoid weights on ``nodes`` unit-spaced nodes
+    w = np.ones(nodes)
+    w[0] = w[-1] = 0.5
+    return w
 
-    m, beta, delta = grid.m, grid.beta_step, grid.delta
-    q = np.arange(m + 1)
-    xi = (q - m / 2.0) * beta
-    v = rows[0] * np.exp(1j * grid.center * xi) * np.exp(-1j * np.pi * delta * m * q)
-    w12 = newton_cotes_weights()
-    w = np.zeros(m + 1)
-    for p in range(grid.n):
-        w[12 * p : 12 * p + 13] += w12
-    k = np.arange(m + 1)
-    phase = np.exp(2j * np.pi * delta * np.outer(q, k))
-    S = (w * v) @ phase
-    want = (
-        beta / (2.0 * math.pi)
-        * np.exp(1j * np.pi * delta * m * m / 2.0)
-        * np.exp(-1j * np.pi * delta * m * k)
-        * S
-    )
-    assert np.max(np.abs(got - np.real(want))) < 1e-11
+
+def _xi_grids(params):
+    # the small grid with one frequency step count on both sides (h = m/2 =
+    # 144), and with fewer frequency nodes than output nodes (h = 101)
+    grid = _small_grid(params)
+    return grid, dataclasses.replace(grid, h=101)
+
+
+def test_two_stage_matches_direct_sum():
+    # the half-spectrum evaluation must agree with the plain trapezoid sum
+    for grid in _xi_grids(SP):
+        rows = _char_rows(SP, grid, order=0)
+        got = _invert_rows(rows, grid)[0]
+
+        m, h, beta, delta = grid.m, grid.h, grid.beta_step, grid.delta
+        q = np.arange(2 * h + 1)
+        xi = (q - h) * beta
+        v = rows[0] * np.exp(1j * grid.center * xi) * np.exp(-1j * np.pi * delta * m * q)
+        k = np.arange(m + 1)
+        phase = np.exp(2j * np.pi * delta * np.outer(q, k))
+        S = (_trapezoid(2 * h + 1) * v) @ phase
+        want = (
+            beta / (2.0 * math.pi)
+            * np.exp(1j * np.pi * delta * h * m)
+            * np.exp(-2j * np.pi * delta * h * k)
+            * S
+        )
+        assert np.max(np.abs(got - np.real(want))) < 1e-11
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivative_rows_match_direct_sum(order):
-    # every gradient and second-derivative row against the plain composite
+    # every gradient and second-derivative row against the plain trapezoid
     # sum  beta/(2 pi) sum_q W_q r(xi_q) exp(i xi_q x_k)
-    grid = _small_grid(SP)
-    rows = _char_rows(SP, grid, order)
-    got = _invert_rows(rows, grid)
-    w12 = newton_cotes_weights()
-    w = np.zeros(grid.m + 1)
-    for p in range(grid.n):
-        w[12 * p : 12 * p + 13] += w12
-    xi = (np.arange(grid.m + 1) - grid.m / 2.0) * grid.beta_step
-    phase = np.exp(1j * np.outer(xi, _output_points(grid)))
-    want = (grid.beta_step / (2.0 * math.pi) * ((w * rows) @ phase)).real
-    assert got.shape == want.shape == (8 if order == 1 else 36, grid.m + 1)
-    assert np.max(np.abs(got - want)) < 1e-11
+    for grid in _xi_grids(SP):
+        rows = _char_rows(SP, grid, order)
+        got = _invert_rows(rows, grid)
+        xi = (np.arange(2 * grid.h + 1) - grid.h) * grid.beta_step
+        phase = np.exp(1j * np.outer(xi, _output_points(grid)))
+        want = (grid.beta_step / (2.0 * math.pi) * ((_trapezoid(2 * grid.h + 1) * rows) @ phase)).real
+        assert got.shape == want.shape == (8 if order == 1 else 36, grid.m + 1)
+        assert np.max(np.abs(got - want)) < 1e-11
 
 
 def _shifted_grid(params, shift, **nodes):
@@ -313,36 +348,40 @@ def _shifted_grid(params, shift, **nodes):
 
 @pytest.mark.parametrize("shift", [0.0, 0.3])
 def test_pull_back_is_adjoint_of_inversion(shift):
-    # sum_k c_k f_r(x_k) == Re sum_q rows[r, m/2+q] d_q for every row, d the
-    # pull-back of c, on the default lattice and one shifted by 0.3 steps
-    grid = _shifted_grid(SP, shift)
-    rows = _char_rows(SP, grid, 2)
-    assert rows.shape[0] == 36
-    out = _invert_rows(rows, grid)
-    c = np.random.default_rng(7).standard_normal(grid.m + 1)
-    d = _pull_back(c, grid)
-    assert d.shape == (grid.m // 2 + 1,)
-    lhs = out @ c
-    rhs = (rows[:, grid.m // 2 :] @ d).real
-    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
+    # sum_k c_k f_r(x_k) == Re sum_q rows[r, h+q] d_q for every row, d the
+    # pull-back of c, on the default lattice and one shifted by 0.3 steps,
+    # with h = m/2 and with fewer frequency nodes (h = 101)
+    for h in (None, 101):
+        grid = _shifted_grid(SP, shift, h=h)
+        rows = _char_rows(SP, grid, 2)
+        assert rows.shape == (36, 2 * grid.h + 1)
+        out = _invert_rows(rows, grid)
+        c = np.random.default_rng(7).standard_normal(grid.m + 1)
+        d = _pull_back(c, grid)
+        assert d.shape == (grid.h + 1,)
+        lhs = out @ c
+        rhs = (rows[:, grid.h :] @ d).real
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.3])
 @pytest.mark.parametrize("k_lo, k_hi", [(70, 220), (150, 289)])
 def test_ranged_pull_back_is_adjoint_of_ranged_inversion(shift, k_lo, k_hi):
     # the identity of test_pull_back_is_adjoint_of_inversion on a grid that
-    # inverts only the output nodes k_lo..k_hi-1 of 289.  A sum over part of
-    # the window can cancel, so the bound scales with the sum of |terms|
-    grid = _shifted_grid(SP, shift, k_lo=k_lo, k_hi=k_hi)
-    rows = _char_rows(SP, grid, 2)
-    out = _invert_rows(rows, grid)
-    assert out.shape == (36, k_hi - k_lo)
-    c = np.random.default_rng(7).standard_normal(k_hi - k_lo)
-    d = _pull_back(c, grid)
-    assert d.shape == (grid.m // 2 + 1,)
-    lhs = out @ c
-    rhs = (rows[:, grid.m // 2 :] @ d).real
-    assert np.all(np.abs(lhs - rhs) <= 1e-13 * (np.abs(out) @ np.abs(c)))
+    # inverts only the output nodes k_lo..k_hi-1 of 289, with h = m/2 and
+    # with h = 101.  A sum over part of the window can cancel, so the bound
+    # scales with the sum of |terms|
+    for h in (None, 101):
+        grid = _shifted_grid(SP, shift, k_lo=k_lo, k_hi=k_hi, h=h)
+        rows = _char_rows(SP, grid, 2)
+        out = _invert_rows(rows, grid)
+        assert out.shape == (36, k_hi - k_lo)
+        c = np.random.default_rng(7).standard_normal(k_hi - k_lo)
+        d = _pull_back(c, grid)
+        assert d.shape == (grid.h + 1,)
+        lhs = out @ c
+        rhs = (rows[:, grid.h :] @ d).real
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * (np.abs(out) @ np.abs(c)))
 
 
 @pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
@@ -585,10 +624,11 @@ def test_table_invariants(sp_table):
 
 
 def test_table_failures_quote_value_and_bound():
-    # two panels ring far below zero; a window of 4 std loses 6 % of the mass
-    with pytest.raises(GridError, match=r"negative density -4\.338e-01 below the bound -1e-10"):
-        density_table(SP, _small_grid(SP, n=2))
-    with pytest.raises(GridError, match=r"recovered mass 0\.942374748 outside 1 \+- 0\.0001"):
+    # a frequency span cut at |xi| = 1, long before the CF decays, rings below
+    # zero; a window of 4 std loses 6 % of the mass
+    with pytest.raises(GridError, match=r"negative density -4\.316e-02 below the bound -1e-10"):
+        density_table(SP, dataclasses.replace(_small_grid(SP), a=2.0))
+    with pytest.raises(GridError, match=r"recovered mass 0\.942396652 outside 1 \+- 0\.0001"):
         density_table(SP, _small_grid(SP, coverage=4.0))
 
 
@@ -609,7 +649,7 @@ def test_table_mean_and_variance(sp_table):
 
 def test_parseval(sp_table):
     g = sp_table.grid
-    xi = (np.arange(g.m + 1) - g.m / 2.0) * g.beta_step
+    xi = (np.arange(2 * g.h + 1) - g.h) * g.beta_step
     big_f = char_fn(SP, xi)
     lhs = np.trapezoid(sp_table.f**2, sp_table.x)
     rhs = np.trapezoid(np.abs(big_f) ** 2, xi) / (2.0 * math.pi)
