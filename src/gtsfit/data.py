@@ -9,9 +9,10 @@ template and its columns, or one JSON object.
 formed in ``np.longdouble`` from a table of powers of ten that numpy's
 decimal parser (the C library's ``strtold``) rounds correctly, as the tests
 check entry by entry.  R = rint(D) is then the correctly rounded 17-digit
-integer of v whenever |D - R| <= 1/2 - margin, since the table entry and
-the product each round by at most half an ulp, 1e17 * eps / 2 for
-D < 1e17, and the margin is twice their sum.  The %g text is assembled
+integer of v whenever |D - R| <= 1/2 - margin * D / 1e17, since the table
+entry and the product each round by at most half an ulp relative, moving D
+by at most D * eps / 2 each, and margin * D / 1e17 = 2 D eps is twice their
+sum.  The %g text is assembled
 from R's digits and X.  Any cell outside that proof (|D - R| past the
 bound, D outside [1e16, 1e17), v zero, inf or nan) is printed by
 ``'%.17g' % v``; where the long double is no wider than a double the
@@ -39,8 +40,8 @@ TRADING_DAYS_MONTH = 21
 TRADING_DAYS_YEAR = 252
 _CSV_BLOCK_ROWS = 4096  # rows formatted per write by write_csv
 _G17_SLOT = 29  # bytes of one %.17g slot: "-", "0.000", 17 digits and ".", "e+308"
-# bound on |D - rint(D)| past which _g17_slots defers to '%.17g' %: twice the
-# 1e17 * eps rounding of a table power of ten and one product, D < 1e17
+# _g17_slots defers to '%.17g' % past |D - rint(D)| = 1/2 - _G17_MARGIN * D / 1e17:
+# twice the D * eps / 2 roundings of a table power of ten and of one product
 _G17_MARGIN = 2e17 * float(np.finfo(np.longdouble).eps)
 
 
@@ -247,7 +248,8 @@ def _g17_round(v: np.ndarray) -> tuple:
     d = a.astype(np.longdouble) * _pow10_table()[16 - x + 292]
     r = np.rint(d)
     # d - r is exact and has few bits, so float64 holds it exactly
-    fast &= (d >= 1e16) & (r < 1e17) & (np.abs((d - r).astype(np.float64)) <= 0.5 - _G17_MARGIN)
+    bound = 0.5 - _G17_MARGIN * 1e-17 * d.astype(np.float64)
+    fast &= (d >= 1e16) & (r < 1e17) & (np.abs((d - r).astype(np.float64)) <= bound)
     return fast, x, np.where(fast, r, 1e16).astype(np.uint64)
 
 

@@ -36,6 +36,10 @@ from .special_linalg import digamma_fn, gamma_fn, trigamma_fn
 
 BOUND_EPS = 1e-8
 
+# tail index below which _side_parts forms w^beta - lambda^beta by expm1;
+# at and above it the direct difference, which the seeded draws are pinned to
+_SMALL_BETA = 1e-2
+
 # canonical indices (beta, alpha, lambda) of each jump side's parameters
 _SIDE_INDEX = {"p": (1, 3, 5), "m": (2, 4, 6)}
 
@@ -197,7 +201,12 @@ def _side_parts(params: GtsParams, xi, with_psi: bool = False):
             "Pl": lam**b,
             "llam": math.log(lam),
         }
-        parts["diff"] = parts["P"] - parts["Pl"]
+        if b < _SMALL_BETA:
+            # w^beta - lambda^beta cancels as beta -> 0 while Gamma(-beta)
+            # grows like 1/beta: lambda^beta expm1(beta log(w/lambda)) keeps it
+            parts["diff"] = parts["Pl"] * np.expm1(b * (logw - parts["llam"]))
+        else:
+            parts["diff"] = parts["P"] - parts["Pl"]
         if with_psi:
             parts["psi0"] = digamma_fn(-b)
             parts["psi1"] = trigamma_fn(-b)

@@ -13,10 +13,20 @@ payoff-reconstruction error and its grid search :func:`optimize_q` remain as
 a diagnostic of the damped quadrature, its payoff sum one fractional DFT per
 strike and offset on spectral's Bluestein plan.
 
+The contour sum is the trapezoid rule.  The integrand e^{izk + Psi(-z)}/z^2
+is analytic in a strip of half-width d = min(q, lambda - q) around the
+contour (the double pole at 0 lies q away, the branch point at +-i lambda
+lies lambda - q away), and there the trapezoid sum at step h converges like
+exp(-2 pi d / h) (Trefethen & Weideman, SIAM Review 2014).  The step is
+2 pi d / ``_CONTOUR_NODES``: it sits at the offset's strip and not at the
+strike.  This departs from the paper's composite 12-point Newton-Cotes rule,
+which needed about 5 times the nodes for a 100 times larger error on the
+AVaR ladders (``scripts/contour_rule_scan.py``).
+
 With the offset fixed, the strikes of one tail land on the same contour
 nodes, so Psi(-z) on a contour is cached: ``_contour`` returns the nodes,
-Psi(-z) and spectral's composite weights, keyed on ``(params, signed offset,
-radius, panel count)``, at most 4 contours (both tails of two parameter
+Psi(-z) and the trapezoid weights, keyed on ``(params, signed offset,
+radius, interval count)``, at most 4 contours (both tails of two parameter
 sets), as read-only arrays.  Each strike applies only its own e^{izk}/z^2;
 an AVaR ladder evaluates Psi(-z) once per tail.
 """
@@ -235,14 +245,24 @@ def _quantile_clamped(table: DensityTable, u: np.ndarray) -> np.ndarray:
     return table.x[i] + y * (table.x[i + 1] - table.x[i])
 
 
+# the contour's trapezoid step is 2 pi d / _CONTOUR_NODES on a strip of
+# half-width d, so the sum's error falls like exp(-_CONTOUR_NODES); 40 puts
+# the AVaR ladders within 5e-13 of a 6x-node sum (scripts/contour_rule_scan.py)
+_CONTOUR_NODES = 40
+
+
 @lru_cache(maxsize=4)
-def _contour(params: GtsParams, offset: float, radius: float, panels: int):
-    # Nodes z = t + i offset, t at 12 * panels + 1 equispaced points on
-    # [-radius, radius], with Psi(-z) and the composite weights: shared by
-    # every strike whose step rule lands on the same panel count
-    h = 2.0 * radius / (12 * panels)
-    z = -radius + h * np.arange(12 * panels + 1) + 1j * offset
-    return _read_only(z, char_exponent(params, -z), _composite_weights(panels))
+def _contour(params: GtsParams, offset: float, radius: float, n: int):
+    # Nodes z = t + i offset, t at n + 1 equispaced points on [-radius, radius],
+    # with Psi(-z) and the trapezoid weights: shared by every strike of a tail
+    # whose envelope lands on the same radius.  t = h (j - n/2) is exact at 0,
+    # so the nodes near the pole, which carry the sum, round relative to t;
+    # rounding relative to the radius puts a 5e-12 floor on the ladder payoffs
+    h = 2.0 * radius / n
+    z = h * (np.arange(n + 1) - 0.5 * n) + 1j * offset
+    wt = np.ones(n + 1)
+    wt[0] = wt[-1] = 0.5
+    return _read_only(z, char_exponent(params, -z), wt)
 
 
 def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide) -> float:
@@ -252,8 +272,10 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     put side: E[(k-X)^+] along Im z = -q with q inside (0, lambda_minus).
     Both are nonnegative and satisfy call - put = E[X] - k.  The integrand
     is -e^{izk + Psi(-z)} / z^2 on either contour; the half width R doubles
-    until the envelope at +-R is below 1e-14 and the step resolves both the
-    pole scale q and the oscillation scale of e^{izk}.
+    until the envelope at +-R is below 1e-14, and the trapezoid step is
+    2 pi min(q, lambda - q) / ``_CONTOUR_NODES``, set by the integrand's
+    strip of analyticity (module docstring), so every strike of a tail
+    shares one node set.
     """
     if not math.isfinite(k):
         raise ValueError(f"strike k must be finite, got {k}")
@@ -277,12 +299,9 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
                 f"envelope {env:.3e} at R = {radius:g}"
             )
         radius *= 2.0
-    # a 12-point panel must stay well inside one pole width, else the
-    # equispaced interpolant rings against 1/z^2 and biases the integral
-    h_target = min(q / 32.0, 2.0 * math.pi / (32.0 * (abs(k) + 1.0)), 0.02)
-    panels = math.ceil(2.0 * radius / (12.0 * h_target))
-    h = 2.0 * radius / (12 * panels)
-    z, psi, wt = _contour(params, sgn * q, radius, panels)
+    n = math.ceil(radius * _CONTOUR_NODES / (math.pi * min(q, lam - q)))
+    h = 2.0 * radius / n
+    z, psi, wt = _contour(params, sgn * q, radius, n)
     vals = np.exp(1j * z * k + psi) / (z * z)
     # einsum, not @: OpenBLAS's dot would change the sum's rounding
     acc = -h * np.einsum("q,q->", wt, vals) / (2.0 * math.pi)

@@ -20,8 +20,10 @@ both rules against a reference sum and against ``bench/oracle.py``).
 
 This module defines the package's two remaining discretisation rules once
 each.  The composite Newton-Cotes weights (``_composite_weights``,
-``_partial_panel_weights``) serve the CDF's panel sums on the output nodes
-here and the AVaR contour in ``risk``.  The 4-point cubic (``_CUBIC``)
+``_partial_panel_weights``) serve the CDF's panel sums on the output nodes,
+the sizing of the output count m (``_weight_harmonics``) and ``risk``'s
+payoff-reconstruction diagnostic; the AVaR contour sums with the trapezoid
+rule, as the frequency side does.  The 4-point cubic (``_CUBIC``)
 interpolates the fitter's rows (``_interp4``); ``cdf_at`` evaluates and
 ``risk``'s quantile solve (behind ``var`` and the sampler) solves one set of
 its coefficients (``_cubic_diffs``), so VaR and the draws invert the CDF

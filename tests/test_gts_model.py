@@ -29,6 +29,7 @@ from gtsfit.gts_model import (
     load_params,
     moment_stats,
     save_params,
+    _side_parts,
 )
 
 # Frozen against a 50-digit evaluation of the exponent formula.
@@ -145,6 +146,37 @@ def test_char_exponent_branch_cut(sp_params):
     # imaginary part beyond the tempering rate leaves the analytic strip
     with pytest.raises(BranchCutError):
         char_exponent(sp_params, 1j * (sp_params.lambda_plus + 0.1))
+
+
+@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6, 2e-8])
+def test_exponent_term_near_the_beta_face(beta):
+    # alpha Gamma(-beta) (w^beta - lambda^beta) of each side against 50
+    # digits; the direct difference w^beta - lambda^beta lost 4e-9 of it at
+    # beta = 2e-8 to cancellation against Gamma(-beta) ~ -1/beta.  Near
+    # xi = 0 the term itself vanishes, and the direct difference that beta =
+    # 1e-2 still uses is off by 8e-12 of it at |xi| = 1e-3 (rounding-level
+    # in Psi), so the frequencies stay away from 0
+    import mpmath as mp
+
+    params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)
+    xi = np.array([-40.0, -1.7, 1.7, 40.0])
+    s = _side_parts(params, xi)
+    with mp.workdps(50):
+        for key, lam, sgn in (("p", 0.82, -1.0), ("m", 0.73, 1.0)):
+            got = s[key]["a"] * s[key]["g"] * s[key]["diff"]
+            b, a = mp.mpf(beta), mp.mpf(s[key]["a"])
+            for x, g in zip(xi, got):
+                ref = a * mp.gamma(-b) * ((mp.mpf(lam) + sgn * 1j * mp.mpf(x)) ** b - mp.mpf(lam) ** b)
+                assert abs(g - complex(ref)) <= 1e-14 * abs(complex(ref)), (key, x)
+
+
+@pytest.mark.parametrize("beta_minus", [2e-8, 1e-7, 1e-6])
+def test_density_near_the_beta_face_is_nonnegative(sp_params, beta_minus):
+    # the exponent's cancellation made the SP density dip to -4.9e-11 at 2e-8
+    from gtsfit.spectral import choose_grid, density_table
+
+    params = dataclasses.replace(sp_params, beta_minus=beta_minus)
+    assert density_table(params, choose_grid(params, 8196)).f.min() >= -1e-12
 
 
 def test_char_fn_grad_mu_identity(sp_params):

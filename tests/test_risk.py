@@ -315,6 +315,34 @@ def test_payoff_parity(sp_params):
     assert call - put == pytest.approx(mean - k, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_payoff_parity_to_rounding(key, sp_params, btc_params):
+    # at avar's offsets, 0.45 lambda of each tail
+    from gtsfit.gts_model import cumulants
+
+    params = sp_params if key == "sp" else btc_params
+    mean = cumulants(params, 1).kappa(1)
+    for k in (-20.0, -5.0, 0.0, 5.0, 20.0):
+        call = tail_payoff_fourier(params, k, 0.45 * params.lambda_plus, PayoffSide.CALL)
+        put = tail_payoff_fourier(params, k, 0.45 * params.lambda_minus, PayoffSide.PUT)
+        assert abs(call - put - (mean - k)) <= 1e-12 * max(call, put), k
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_ladder_payoffs_match_three_times_the_nodes(key, sp_params, btc_params, sp_table, btc_table, monkeypatch):
+    # the trapezoid sum at the step 2 pi min(q, lambda - q) / _CONTOUR_NODES
+    # against the same sum at a third of that step, at every ladder strike
+    params, table = (sp_params, sp_table) if key == "sp" else (btc_params, btc_table)
+    strikes = []
+    for a in (0.001, *DEFAULT_LEVELS):
+        strikes.append((var(table, a), 0.45 * params.lambda_minus, PayoffSide.PUT))
+        strikes.append((var(table, 1.0 - a), 0.45 * params.lambda_plus, PayoffSide.CALL))
+    got = [tail_payoff_fourier(params, *case) for case in strikes]
+    monkeypatch.setattr(risk, "_CONTOUR_NODES", 3 * risk._CONTOUR_NODES)
+    ref = [tail_payoff_fourier(params, *case) for case in strikes]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 def test_payoff_far_tail_vanishes(sp_params):
     assert tail_payoff_fourier(sp_params, 40.0, 0.1, PayoffSide.CALL) < 1e-8
     assert tail_payoff_fourier(sp_params, -40.0, 0.1, PayoffSide.PUT) < 1e-8
@@ -524,9 +552,9 @@ def test_avar_ladder_shares_one_contour_per_tail(key, sp_params, btc_params, sp_
 
 
 def test_contour_cache_keeps_node_sets_apart(sp_params, btc_params):
-    # these strikes land on different radii and node counts on the same
-    # contour (k = -30 and -10 share the call radius, not the nodes); each
-    # payoff must equal the one computed from an empty cache
+    # these strikes land on different radii on the same contour (k = -30 and
+    # -10 share the call radius, so its nodes); each payoff must equal the
+    # one computed from an empty cache
     cases = [(sp_params, k, PayoffSide.CALL) for k in (-30.0, -10.0, -3.0, 30.0)]
     cases += [(sp_params, k, PayoffSide.PUT) for k in (-3.0, 10.0, 30.0)]
     cases += [(btc_params, k, PayoffSide.CALL) for k in (-30.0, 3.0)]
@@ -543,13 +571,18 @@ def test_contour_cache_keeps_node_sets_apart(sp_params, btc_params):
     assert [payoff(*case) for case in cases + cases] == cold + cold
 
 
-def test_contour_weights_are_the_composite_rule(sp_params):
-    # the last node carries W[12], not 2 W[0]
-    assert np.array_equal(_contour(sp_params, 0.3, 50.0, 100)[2], _composite_weights(100))
+def test_contour_weights_are_the_trapezoid_rule(sp_params):
+    # 1201 nodes centred on t = 0, half weight at both ends
+    z, _, wt = _contour(sp_params, 0.3, 50.0, 1200)
+    want = np.ones(1201)
+    want[0] = want[-1] = 0.5
+    assert np.array_equal(wt, want)
+    assert z[600] == 0.3j and np.array_equal(z.real, -z.real[::-1])
+    assert z[0].real == -50.0 and z[-1].real == 50.0
 
 
 def test_contour_arrays_are_read_only(sp_params):
-    for arr in _contour(sp_params, 0.3, 50.0, 100):
+    for arr in _contour(sp_params, 0.3, 50.0, 1200):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
