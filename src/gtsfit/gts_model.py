@@ -36,9 +36,15 @@ from .special_linalg import digamma_fn, gamma_fn, trigamma_fn
 
 BOUND_EPS = 1e-8
 
-# tail index below which _side_parts forms w^beta - lambda^beta by expm1;
-# at and above it the direct difference, which the seeded draws are pinned to
-_SMALL_BETA = 1e-2
+# tail index below which w^beta - lambda^beta is formed by expm1 and the beta
+# row (_beta_bracket) in a cancellation-free form; at and above it the direct
+# differences, which the seeded draws are pinned to.  The direct beta row is
+# 1e-11 off at beta = 1e-2 and 6e-14 at 0.1 (50-digit mpmath, |xi| >= 0.3)
+_SMALL_BETA = 0.1
+
+# Taylor coefficients (k+1)/(k+2)! of h(x) = (x e^x - expm1(x)) / x^2: below
+# |x| = 1/2 the 16 terms reach rounding, where the closed form loses bits
+_H_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(16))
 
 # canonical indices (beta, alpha, lambda) of each jump side's parameters
 _SIDE_INDEX = {"p": (1, 3, 5), "m": (2, 4, 6)}
@@ -216,6 +222,32 @@ def _side_parts(params: GtsParams, xi, with_psi: bool = False):
     return sides
 
 
+def _h(x):
+    # (x e^x - expm1(x)) / x^2 elementwise: the series below |x| = 1/2
+    x = np.asarray(x)
+    out = np.zeros_like(x)
+    for c in reversed(_H_SERIES):
+        out *= x
+        out += c
+    far = np.abs(x) >= 0.5
+    if far.any():
+        xf = x[far]
+        out[far] = (xf * np.exp(xf) - np.expm1(xf)) / (xf * xf)
+    return out
+
+
+def _beta_bracket(d):
+    # the beta derivative of one side's term over alpha Gamma(-beta), from its
+    # side parts d; below _SMALL_BETA psi(-beta) = psi(1 - beta) + 1/beta, and
+    # the 1/beta part against w^beta log w - lambda^beta log lambda leaves
+    # lambda^beta beta L^2 h(beta L), L = log(w/lambda), so nothing cancels
+    b, logw, llam = d["b"], d["logw"], d["llam"]
+    if b >= _SMALL_BETA:
+        return -d["psi0"] * d["diff"] + d["P"] * logw - d["Pl"] * llam
+    ell = logw - llam
+    return (llam - digamma_fn(1.0 - b)) * d["diff"] + d["Pl"] * b * ell * ell * _h(b * ell)
+
+
 def _exponent(params: GtsParams, xi, s):
     # Psi(xi) from the side parts s = _side_parts(params, xi)
     p, m = s["p"], s["m"]
@@ -250,9 +282,7 @@ def _psi_grad(xi, s) -> np.ndarray:
         b, a, g, diff = d["b"], d["a"], d["g"], d["diff"]
         out[idx_a] = g * diff
         out[idx_l] = a * g * b * (d["wbm1"] - d["lbm1"])
-        out[idx_b] = a * g * (
-            -d["psi0"] * diff + d["P"] * d["logw"] - d["Pl"] * d["llam"]
-        )
+        out[idx_b] = a * g * _beta_bracket(d)
     return out
 
 
@@ -269,7 +299,7 @@ def _side_hess(d) -> np.ndarray:
     dlog = d["P"] * logw - d["Pl"] * llam
     out = np.zeros((3, 3) + logw.shape, dtype=complex)
     out[1, 2] = out[2, 1] = g * b * (wbm1 - lbm1)
-    out[1, 0] = out[0, 1] = g * (-psi0 * diff + dlog)
+    out[1, 0] = out[0, 1] = g * _beta_bracket(d)
     out[2, 2] = a * g * b * (b - 1.0) * (wbm2 - lbm2)
     out[2, 0] = out[0, 2] = a * g * (
         (1.0 - b * psi0) * (wbm1 - lbm1) + b * (wbm1 * logw - lbm1 * llam)

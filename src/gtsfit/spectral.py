@@ -39,19 +39,19 @@ tests, and ``_invert_rows`` checks the symmetry of rows a caller supplies
 before it transforms their xi >= 0 half.  A direct evaluation of the
 trapezoid sum is the cross-check in the tests.
 The exact transpose of that map, the pull-back, takes weights on the output
-points back to the xi >= 0 samples in one more fractional FFT; the fitter's
-observed Hessian uses it instead of inverting second-derivative rows.
+points back to the xi >= 0 samples by running the inversion's own plan
+transposed; the fitter's observed Hessian uses it instead of inverting
+second-derivative rows.
 
 Because the fractional FFT decouples the output grid from the frequency
 grid, a :class:`FourierGrid` may carry an output-node range
 ``[k_lo, k_hi)``: the inversion then computes only those nodes of the m+1,
 with the plan ``(h+1, k_hi-k_lo, -delta, k_lo - m/2)``, and the
-pull-back takes its weights on those nodes only, with the plan
-``(k_hi-k_lo, h+1, -delta, 0)`` and the phase
-exp(2 pi i q (k_lo - m/2) delta).  The fitter's grid carries the range
-its sample reads; ``choose_grid`` never sets one, and a range covering all
-m+1 nodes is stored as the default, so full-grid callers build the same
-plans as without ranges.  ``density_table`` refuses a ranged grid.
+pull-back, that plan transposed, takes its weights on those nodes only.
+The fitter's grid carries the range its sample reads; ``choose_grid``
+never sets one, and a range covering all m+1 nodes is stored as the
+default, so full-grid callers build the same plan as without ranges.
+``density_table`` refuses a ranged grid.
 
 Grid selection sizes the output window from the slower tempering rate,
 doubles the frequency span until the characteristic function tail is
@@ -60,16 +60,16 @@ images of the density, damped at the tempering rate, must keep from the
 output window.  The frequency count h puts the trapezoid period that far
 out with the margin ``_XI_MARGIN``.  The output count m keeps the rule of
 the Newton-Cotes frequency sum it was made for (the images amplified by
-the harmonic content of the periodized panel weights), so every table
-keeps its output nodes and the CDF panels their width.
+the first harmonic of the periodized panel weights, the one that binds),
+so every table keeps its output nodes and the CDF panels their width.
 
 Work that depends only on the grid lives on the frozen :class:`FourierGrid`
-as ``functools.cached_property`` members, built on first use and freed with
-the grid: the folded half-spectrum weights (``half_weights``), the
-inversion plan (``inversion_plan``) and the pull-back plan with its phase
-(``pull_back_plan``), which a ``pdf``, ``risk`` or ``synth`` grid never
-builds.  A fit's iterations and line-search probes reuse one grid object,
-so each is built once per grid.  Their arrays are read-only.
+as two ``functools.cached_property`` members, built on first use and freed
+with the grid: the folded half-spectrum weights (``half_weights``) and the
+fractional-FFT plan (``inversion_plan``), which the inversion applies
+forward and the pull-back transposed.  A fit's iterations and line-search
+probes reuse one grid object, so each is built once per grid.  Their
+arrays are read-only.
 ``_bluestein`` keeps no plan, and a plan allocates the padded buffer it
 transforms rows in on each call.  The only ``lru_cache`` members here are
 the argument-free constant tables; the package's one value-keyed cache is
@@ -252,18 +252,6 @@ class FourierGrid:
         """Fractional DFT from the xi >= 0 half onto the output nodes."""
         return _bluestein(self.h + 1, len(self.nodes), -self.delta, self.k_lo - self.m // 2)
 
-    @cached_property
-    def pull_back_plan(self) -> tuple[_BluesteinPlan, np.ndarray]:
-        """Fractional DFT from the output nodes onto the xi >= 0 half, and its phase:
-        the factor of :attr:`half_weights` times exp(2 pi i q (k_lo - m/2) delta)."""
-        ld = np.longdouble
-        turns = (ld(self.delta) * np.arange(self.h + 1, dtype=ld) * ld(self.k_lo - self.m // 2)) % 1
-        # shift is bound to a name, so numpy cannot reuse it as the product's
-        # output and swap the operands (see _pull_back)
-        shift = np.exp(2j * np.pi * turns.astype(float))
-        phase = _read_only(self.half_weights[1] * shift)[0]
-        return _bluestein(len(self.nodes), self.h + 1, -self.delta, 0.0), phase
-
 
 @dataclass(frozen=True)
 class DensityTable:
@@ -294,28 +282,39 @@ def _chirp(delta: float, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _BluesteinPlan:
-    """Chirps and kernel FFT of one fractional DFT; calling it transforms rows,
-    one at a time in a padded buffer allocated per call, into a fresh array."""
+    """Chirps and kernel FFT of one fractional DFT G; calling it computes G x
+    and :meth:`transpose` computes G^T y, row by row in a padded buffer
+    allocated per call, into a fresh array."""
 
-    n_out: int
     size: int
     pre: np.ndarray
     kern: np.ndarray
     post: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[-1]
-        out = np.empty(x.shape[:-1] + (self.n_out,), dtype=complex)
+        # post * IFFT(kern * FFT(pad(pre * x)))[:n_out]
+        return self._run(x, self.pre, np.fft.fft, np.fft.ifft, self.post)
+
+    def transpose(self, y: np.ndarray) -> np.ndarray:
+        """G^T y on rows of length n_out: the factors in reverse order,
+        pre * FFT(kern * IFFT(pad(post * y)))[:m].  The DFT matrices and the
+        diagonal factors are symmetric, and the zero-pad is the transpose of
+        the truncation."""
+        return self._run(y, self.post, np.fft.ifft, np.fft.fft, self.pre)
+
+    def _run(self, x, first, fft1, fft2, last) -> np.ndarray:
+        n, n_out = first.size, last.size
+        out = np.empty(x.shape[:-1] + (n_out,), dtype=complex)
         buf = np.empty(self.size, dtype=complex)
         # one row per FFT call: numpy's batched FFT allocates a scratch block
         # on every call, while a single contiguous row is transformed in place
-        for row, dst in zip(x.reshape(-1, n), out.reshape(-1, self.n_out)):
-            np.multiply(row, self.pre, out=buf[:n])
+        for row, dst in zip(x.reshape(-1, n), out.reshape(-1, n_out)):
+            np.multiply(row, first, out=buf[:n])
             buf[n:] = 0.0
-            np.fft.fft(buf, out=buf)
+            fft1(buf, out=buf)
             buf *= self.kern
-            np.fft.ifft(buf, out=buf)
-            np.multiply(buf[: self.n_out], self.post, out=dst)
+            fft2(buf, out=buf)
+            np.multiply(buf[:n_out], last, out=dst)
         return out
 
 
@@ -329,7 +328,7 @@ def _bluestein(m: int, n_out: int, delta: float, s: float) -> _BluesteinPlan:
     t = np.arange(size)
     z = _chirp(delta, np.where(t < n_out, t, t - size) + np.longdouble(s))
     pre, kern, post = _read_only(_chirp(-delta, np.arange(m)), np.fft.fft(z), np.conj(z[:n_out]))
-    return _BluesteinPlan(n_out, size, pre, kern, post)
+    return _BluesteinPlan(size, pre, kern, post)
 
 
 def frft(seq, delta: float, s: float = 0.0) -> np.ndarray:
@@ -363,8 +362,8 @@ def choose_grid(
     exceeds a distance ``need``, and the frequency half count h puts it at
     ``_XI_MARGIN`` times ``need``.  The output count m starts at ``m_target`` points
     (rounded up to a multiple of 12) and grows to the count the composite
-    Newton-Cotes frequency sum needed, whose weight harmonics put images at
-    fractions of its period; it sets the output step and the CDF panels.
+    Newton-Cotes frequency sum needed, whose first weight harmonic puts
+    images at 1/12 of its period; it sets the output step and the CDF panels.
     ``refine`` multiplies the final panel count and h.  A grid of more than
     2**21 output nodes raises :class:`GridError` before anything of that
     size is built.
@@ -393,13 +392,14 @@ def choose_grid(
     xi_c = np.linspace(-a / 2.0, a / 2.0, 4097)
     big_b = float(np.trapezoid(np.abs(char_fn(params, xi_c)), xi_c)) / (2.0 * math.pi)
 
+    # The Newton-Cotes sum's r-th weight harmonic puts images r/12 of its
+    # period away, so the period must reach 12/r times a distance.  The first
+    # harmonic (2.9e-8) always binds: a later one (at most 7.45) lengthens the
+    # distance by at most ln(7.45/2.9e-8)/lam_min = 19.4/lam_min but halves
+    # 12/r or more, and half + d0 alone is at least 23.7/lam_min.
     d0 = 3.0 / lam_min + abs(center)
-    harm = _weight_harmonics()
-    p_req = 0.0
-    for r in range(1, 7):
-        need = half + d0 + max(0.0, math.log(harm[r] * big_b / _IMG_TOL)) / lam_min
-        p_req = max(p_req, need * 12.0 / r)
-    m_img = p_req * a / (2.0 * math.pi)
+    need = half + d0 + max(0.0, math.log(_weight_harmonics()[1] * big_b / _IMG_TOL)) / lam_min
+    m_img = need * 12.0 * a / (2.0 * math.pi)
     n = max(math.ceil(m_target / 12.0), math.ceil(m_img / 12.0)) * refine
     if 12 * n > _NODE_CAP:
         raise GridError(f"grid needs m = {12 * n} nodes, above the cap of {_NODE_CAP}")
@@ -481,17 +481,10 @@ def _pull_back(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     For real ``c`` on the grid's output nodes, returns the complex ``d`` on
     xi_q = q beta_step, q = 0..h, with
     sum_k c_k _invert_rows(rows, grid)[r, k] = Re sum_q rows[r, h + q] d_q
-    for every row.  One fractional FFT of ``c`` gives
-    sum_k c_k exp(2 pi i q k delta); the output offset k_lo - m/2 enters
-    as the phase exp(2 pi i q (k_lo - m/2) delta), reduced modulo 1 in long
-    double.
+    for every row: the inversion plan run transposed on ``c``, times the
+    weights of :attr:`FourierGrid.half_weights` that the inversion folds in.
     """
-    transform, phase = grid.pull_back_plan
-    d = transform(c)
-    # phase times d, in that order: a complex product rounds differently with
-    # its operands swapped, and numpy may evaluate phase * <temporary> as
-    # <temporary> *= phase
-    return np.multiply(phase, d, out=d)
+    return grid.half_weights[1] * grid.inversion_plan.transpose(c)
 
 
 def _output_points(grid: FourierGrid) -> np.ndarray:

@@ -29,6 +29,8 @@ from gtsfit.gts_model import (
     load_params,
     moment_stats,
     save_params,
+    _psi_grad,
+    _side_hess,
     _side_parts,
 )
 
@@ -153,9 +155,9 @@ def test_exponent_term_near_the_beta_face(beta):
     # alpha Gamma(-beta) (w^beta - lambda^beta) of each side against 50
     # digits; the direct difference w^beta - lambda^beta lost 4e-9 of it at
     # beta = 2e-8 to cancellation against Gamma(-beta) ~ -1/beta.  Near
-    # xi = 0 the term itself vanishes, and the direct difference that beta =
-    # 1e-2 still uses is off by 8e-12 of it at |xi| = 1e-3 (rounding-level
-    # in Psi), so the frequencies stay away from 0
+    # xi = 0 the term itself vanishes, and the direct difference (beta >=
+    # _SMALL_BETA) was off by 8e-12 of it at |xi| = 1e-3 and beta = 1e-2
+    # (rounding-level in Psi), so the frequencies stay away from 0
     import mpmath as mp
 
     params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)
@@ -168,6 +170,29 @@ def test_exponent_term_near_the_beta_face(beta):
             for x, g in zip(xi, got):
                 ref = a * mp.gamma(-b) * ((mp.mpf(lam) + sgn * 1j * mp.mpf(x)) ** b - mp.mpf(lam) ** b)
                 assert abs(g - complex(ref)) <= 1e-14 * abs(complex(ref)), (key, x)
+
+
+@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6, 2e-8])
+def test_beta_row_near_the_beta_face(beta):
+    # the beta row of dPsi and the (alpha, beta) entry of each side's Hessian
+    # block against the 50-digit beta derivative of alpha Gamma(-beta)
+    # (w^beta - lambda^beta); below beta = 1e-2 both take the bracket that
+    # splits psi(-beta) = psi(1 - beta) + 1/beta, on both sides
+    import mpmath as mp
+
+    params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)
+    xi = np.array([-40.0, -1.7, 1.7, 40.0])
+    s = _side_parts(params, xi, with_psi=True)
+    grad = _psi_grad(xi, s)
+    with mp.workdps(50):
+        for key, idx, lam, sgn in (("p", 1, 0.82, -1.0), ("m", 2, 0.73, 1.0)):
+            a = s[key]["a"]
+            cross = _side_hess(s[key])[1, 0]
+            for x, g, c in zip(xi, grad[idx], cross):
+                w = mp.mpf(lam) + sgn * 1j * mp.mpf(x)
+                ref = complex(mp.diff(lambda b: a * mp.gamma(-b) * (w**b - mp.mpf(lam) ** b), mp.mpf(beta)))
+                assert abs(g - ref) <= 1e-13 * abs(ref), (key, x)
+                assert abs(c - ref / a) <= 1e-13 * abs(ref / a), (key, x)
 
 
 @pytest.mark.parametrize("beta_minus", [2e-8, 1e-7, 1e-6])

@@ -327,8 +327,9 @@ def test_fit_trace_monotone(small_sample):
 
 
 def test_fit_builds_each_plan_once_per_grid(small_sample, monkeypatch):
-    # each grid of a fit needs one inversion plan and one pull-back plan;
-    # they are built once and reused across iterations and probes
+    # each grid of a fit needs one plan, which the inversion runs forward and
+    # the pull-back transposed; it is built once and reused across iterations
+    # and probes
     from gtsfit import mle, spectral
 
     grids, builds = set(), []
@@ -345,7 +346,7 @@ def test_fit_builds_each_plan_once_per_grid(small_sample, monkeypatch):
     monkeypatch.setattr(mle, "spectral_tables", recording)
     monkeypatch.setattr(spectral, "_bluestein", counting)
     fit(small_sample, init=SP, options=FitOptions(max_iter=3))
-    assert 0 < len(builds) <= 2 * len(grids)
+    assert 0 < len(builds) <= len(grids)
 
 
 def test_fit_rejects_bad_init(small_sample):

@@ -167,6 +167,26 @@ def test_frft_batched_rows():
         assert np.allclose(got[r], frft(block[r], 0.021, 0.4), atol=1e-12)
 
 
+
+@pytest.mark.parametrize("m, n_out", [(150, 230), (230, 150)])
+@pytest.mark.parametrize("shift", ["0", "0.3", "-m/2"])
+def test_plan_transpose_is_adjoint(m, n_out, shift):
+    # <y, G x> = <G^T y, x> row by row on two-row inputs, within 1e-13 of the
+    # sum of |terms| |y_k G_kj x_j| (|G_kj| = 1), with fewer and with more
+    # outputs than inputs, and with the output shift of a full grid (-m/2)
+    s = -m / 2 if shift == "-m/2" else float(shift)
+    plan = _bluestein(m, n_out, -0.0137, s)
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    y = rng.standard_normal((2, n_out)) + 1j * rng.standard_normal((2, n_out))
+    gty = plan.transpose(y)
+    assert gty.shape == (2, m)
+    lhs = np.sum(y * plan(x), axis=1)
+    rhs = np.sum(gty * x, axis=1)
+    terms = np.abs(y).sum(axis=1) * np.abs(x).sum(axis=1)
+    assert np.all(np.abs(lhs - rhs) <= 1e-13 * terms)
+
+
 # -- grid selection -----------------------------------------------------------
 
 
@@ -203,6 +223,52 @@ def test_grid_xi_count_is_below_half_the_output_count(params, m):
     grid = choose_grid(params, 8192)
     assert grid.m == m
     assert grid.h < grid.m // 2
+
+
+
+# the fit of bench/data/fit_sp_1290.txt from the SP set
+_SP_FIT = GtsParams(
+    -0.6774283924058273, 0.663055062538813, 0.24777344548555888, 0.491172174396413,
+    0.39861736001694503, 0.8646655794747042, 0.6684093898776702,
+)
+
+
+def _box_params(count, seed):
+    # parameter sets drawn from a box around the reference fits
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        beta = rng.uniform(0.05, 0.95, 2)
+        alpha, lam = np.exp(rng.uniform(np.log(0.05), np.log(5.0), 2)), np.exp(rng.uniform(np.log(0.05), np.log(10.0), 2))
+        yield GtsParams(rng.uniform(-1.0, 1.0), *beta, *alpha, *lam)
+
+
+def _six_harmonic_n(params, grid, m_target):
+    # the panel count from the largest period requirement of the first six
+    # Newton-Cotes weight harmonics, on the grid's window and frequency span
+    lam_min = min(params.lambda_plus, params.lambda_minus)
+    xi = np.linspace(-grid.a / 2.0, grid.a / 2.0, 4097)
+    big_b = float(np.trapezoid(np.abs(char_fn(params, xi)), xi)) / (2.0 * math.pi)
+    d0 = 3.0 / lam_min + abs(grid.center)
+    p_req = max(
+        (grid.span / 2.0 + d0 + max(0.0, math.log(harm * big_b / 1e-11)) / lam_min) * 12.0 / r
+        for r, harm in zip(range(1, 7), _weight_harmonics()[1:7])
+    )
+    return max(math.ceil(m_target / 12.0), math.ceil(p_req * grid.a / (2.0 * math.pi) / 12.0))
+
+
+def test_output_count_matches_six_harmonic_rule():
+    # m is sized from the first weight harmonic alone; the maximum over the
+    # first six is the oracle, on the reference sets, the fitted SP set and a
+    # seeded sweep of the parameter box (grids over the node cap are skipped)
+    checked = 0
+    for params in (SP, BTC, _SP_FIT, *_box_params(200, 29)):
+        try:
+            grid = choose_grid(params, 12)
+        except GridError:
+            continue
+        assert grid.n == _six_harmonic_n(params, grid, 12), params
+        checked += 1
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
@@ -500,14 +566,29 @@ def test_plan_caches_match_cold_transforms():
         for grid, r, c, (inv, pb) in zip(grids, rows, cs, cold):
             assert np.array_equal(_invert_rows(r, grid), inv)
             assert np.array_equal(_pull_back(c, grid), pb)
-    plans = [obj for g in grids for obj in (g.inversion_plan, *g.pull_back_plan, g.half_weights[1])]
+    plans = [obj for g in grids for obj in (g.inversion_plan, g.half_weights[1])]
     assert len({id(obj) for obj in plans}) == len(plans)
+
+
+
+@pytest.mark.parametrize("nodes", [{}, {"k_lo": 70, "k_hi": 220}], ids=["full", "ranged"])
+def test_grid_builds_one_plan(monkeypatch, nodes):
+    # the inversion runs the grid's plan forward and the pull-back runs it
+    # transposed: a fresh grid calls _bluestein once across both
+    calls, build = [], spectral._bluestein
+    monkeypatch.setattr(spectral, "_bluestein", lambda *key: calls.append(key) or build(*key))
+    grid = dataclasses.replace(_small_grid(SP), **nodes)
+    rows = _char_rows(SP, grid, 1)
+    _invert_rows(rows, grid)
+    _pull_back(np.ones(len(grid.nodes)), grid)
+    _invert_rows(rows, grid)
+    assert len(calls) == 1
 
 
 def test_cached_plan_arrays_are_read_only():
     grid = _small_grid(SP)
-    plan, (pull, phase) = grid.inversion_plan, grid.pull_back_plan
-    cached = (plan.pre, plan.kern, plan.post, pull.pre, pull.kern, pull.post, *grid.half_weights, phase)
+    plan = grid.inversion_plan
+    cached = (plan.pre, plan.kern, plan.post, *grid.half_weights)
     for arr in cached + (_partial_panel_weights(), _weight_harmonics()):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
