@@ -172,16 +172,17 @@ def test_exponent_term_near_the_beta_face(beta):
                 assert abs(g - complex(ref)) <= 1e-14 * abs(complex(ref)), (key, x)
 
 
-@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6, 2e-8])
+@pytest.mark.parametrize("beta", [0.09, 1e-2, 1e-4, 1e-6, 2e-8])
 def test_beta_row_near_the_beta_face(beta):
     # the beta row of dPsi and the (alpha, beta) entry of each side's Hessian
     # block against the 50-digit beta derivative of alpha Gamma(-beta)
-    # (w^beta - lambda^beta); below beta = 1e-2 both take the bracket that
-    # splits psi(-beta) = psi(1 - beta) + 1/beta, on both sides
+    # (w^beta - lambda^beta), on both sides; below _SMALL_BETA both take the
+    # bracket that splits psi(-beta) = psi(1 - beta) + 1/beta, and at
+    # beta = 0.09, |xi| = 400 its h(beta L) takes the closed form (|beta L| > 1/2)
     import mpmath as mp
 
     params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)
-    xi = np.array([-40.0, -1.7, 1.7, 40.0])
+    xi = np.array([-400.0, -40.0, -1.7, 1.7, 40.0, 400.0])
     s = _side_parts(params, xi, with_psi=True)
     grad = _psi_grad(xi, s)
     with mp.workdps(50):
