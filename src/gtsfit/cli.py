@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -299,14 +298,15 @@ def cmd_risk(cfg: RunConfig) -> int:
         sample = _load_returns(cfg).values
     grid = choose_grid(params, cfg.grid_m)
     table = density_table(params, grid)
+    tails = [avar(params, table, levels, side) for side in TailSide]  # one contour per tail
     reports = []
-    for lv, side in itertools.product(levels, TailSide):
-        r = avar(params, table, lv, side)
-        if sample is not None:
-            r = dataclasses.replace(
-                r, empirical_var=empirical_var(sample, r.level), empirical_avar=empirical_avar(sample, lv, side)
-            )
-        reports.append(r)
+    for lv, *pair in zip(levels, *tails):  # level by level, lower tail first
+        for r in pair:
+            if sample is not None:
+                r = dataclasses.replace(
+                    r, empirical_var=empirical_var(sample, r.level), empirical_avar=empirical_avar(sample, lv, r.side)
+                )
+            reports.append(r)
     outdir = _outdir(cfg)
     write_risk_csv(reports, outdir / "risk.csv")
     print(f"{'side':<10}{'level':>8}{'VaR':>12}{'AVaR':>12}")

@@ -36,15 +36,12 @@ from .special_linalg import digamma_fn, gamma_fn, trigamma_fn
 
 BOUND_EPS = 1e-8
 
-# tail index below which w^beta - lambda^beta is formed by expm1 and the beta
-# row (_beta_bracket) in a cancellation-free form; at and above it the direct
-# differences, which the seeded draws are pinned to.  The direct beta row is
-# 1e-11 off at beta = 1e-2 and 6e-14 at 0.1 (50-digit mpmath, |xi| >= 0.3)
+# tail index below which w^beta - lambda^beta is formed by expm1, and the beta
+# row (_beta_bracket) and _side_hess's beta entries in cancellation-free forms;
+# at and above it the direct differences, which the seeded draws are pinned
+# to.  The direct beta row is 1e-11 off at beta = 1e-2 and 6e-14 at 0.1
+# (50-digit mpmath, |xi| >= 0.3)
 _SMALL_BETA = 0.1
-
-# Taylor coefficients (k+1)/(k+2)! of h(x) = (x e^x - expm1(x)) / x^2: below
-# |x| = 1/2 the 16 terms reach rounding, where the closed form loses bits
-_H_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(16))
 
 # canonical indices (beta, alpha, lambda) of each jump side's parameters
 _SIDE_INDEX = {"p": (1, 3, 5), "m": (2, 4, 6)}
@@ -222,17 +219,22 @@ def _side_parts(params: GtsParams, xi, with_psi: bool = False):
     return sides
 
 
-def _h(x):
-    # (x e^x - expm1(x)) / x^2 elementwise: the series below |x| = 1/2
+def _h(x, n: int):
+    # h_n(x) = int_0^1 t^n e^{xt} dt elementwise, n >= 1: below |x| = 1/2 the
+    # 16 terms of sum_k x^k / ((k + n + 1) k!) reach rounding, where the
+    # recurrence h_n = (e^x - n h_{n-1}) / x from h_0 = expm1(x) / x loses bits
     x = np.asarray(x)
     out = np.zeros_like(x)
-    for c in reversed(_H_SERIES):
+    for k in reversed(range(16)):
         out *= x
-        out += c
+        out += 1 / ((k + n + 1) * math.factorial(k))
     far = np.abs(x) >= 0.5
     if far.any():
         xf = x[far]
-        out[far] = (xf * np.exp(xf) - np.expm1(xf)) / (xf * xf)
+        val = np.expm1(xf) / xf
+        for j in range(1, n + 1):
+            val = (np.exp(xf) - j * val) / xf
+        out[far] = val
     return out
 
 
@@ -240,12 +242,12 @@ def _beta_bracket(d):
     # the beta derivative of one side's term over alpha Gamma(-beta), from its
     # side parts d; below _SMALL_BETA psi(-beta) = psi(1 - beta) + 1/beta, and
     # the 1/beta part against w^beta log w - lambda^beta log lambda leaves
-    # lambda^beta beta L^2 h(beta L), L = log(w/lambda), so nothing cancels
+    # lambda^beta beta L^2 h_1(beta L), L = log(w/lambda), so nothing cancels
     b, logw, llam = d["b"], d["logw"], d["llam"]
     if b >= _SMALL_BETA:
         return -d["psi0"] * d["diff"] + d["P"] * logw - d["Pl"] * llam
     ell = logw - llam
-    return (llam - digamma_fn(1.0 - b)) * d["diff"] + d["Pl"] * b * ell * ell * _h(b * ell)
+    return (llam - digamma_fn(1.0 - b)) * d["diff"] + d["Pl"] * b * ell * ell * _h(b * ell, 1)
 
 
 def _exponent(params: GtsParams, xi, s):
@@ -296,19 +298,30 @@ def _side_hess(d) -> np.ndarray:
     logw, llam, diff, wbm1, lbm1 = d["logw"], d["llam"], d["diff"], d["wbm1"], d["lbm1"]
     wbm2 = np.exp((b - 2.0) * logw)
     lbm2 = d["lam"] ** (b - 2.0)
-    dlog = d["P"] * logw - d["Pl"] * llam
     out = np.zeros((3, 3) + logw.shape, dtype=complex)
     out[1, 2] = out[2, 1] = g * b * (wbm1 - lbm1)
     out[1, 0] = out[0, 1] = g * _beta_bracket(d)
     out[2, 2] = a * g * b * (b - 1.0) * (wbm2 - lbm2)
-    out[2, 0] = out[0, 2] = a * g * (
-        (1.0 - b * psi0) * (wbm1 - lbm1) + b * (wbm1 * logw - lbm1 * llam)
-    )
+    if b >= _SMALL_BETA:
+        out[2, 0] = out[0, 2] = a * g * (
+            (1.0 - b * psi0) * (wbm1 - lbm1) + b * (wbm1 * logw - lbm1 * llam)
+        )
+        out[0, 0] = a * g * (
+            (psi0 * psi0 + psi1) * diff
+            - 2.0 * psi0 * (d["P"] * logw - d["Pl"] * llam)
+            + d["P"] * logw * logw
+            - d["Pl"] * llam * llam
+        )
+        return out
+    # below the switch the 1/beta of psi(-beta) = psi(1 - beta) + 1/beta
+    # cancels in closed form: with c = log lambda - psi(1 - beta) the term
+    # is -alpha Gamma(1 - beta) lambda^beta L h_0(x), x = beta L, whose
+    # second beta derivative brings in h_1 and h_2
+    psi0_1, ell = digamma_fn(1.0 - b), logw - llam
+    c, x = llam - psi0_1, b * ell
+    out[2, 0] = out[0, 2] = a * g * b * ((wbm1 * logw - lbm1 * llam) - psi0_1 * (wbm1 - lbm1))
     out[0, 0] = a * g * (
-        (psi0 * psi0 + psi1) * diff
-        - 2.0 * psi0 * dlog
-        + d["P"] * logw * logw
-        - d["Pl"] * llam * llam
+        (c * c + trigamma_fn(1.0 - b)) * diff + d["Pl"] * x * ell * (2.0 * c * _h(x, 1) + ell * _h(x, 2))
     )
     return out
 

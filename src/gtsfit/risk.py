@@ -23,12 +23,11 @@ strike.  This departs from the paper's composite 12-point Newton-Cotes rule,
 which needed about 5 times the nodes for a 100 times larger error on the
 AVaR ladders (``scripts/contour_rule_scan.py``).
 
-With the offset fixed, the strikes of one tail land on the same contour
-nodes, so Psi(-z) on a contour is cached: ``_contour`` returns the nodes,
-Psi(-z) and the trapezoid weights, keyed on ``(params, signed offset,
-radius, interval count)``, at most 4 contours (both tails of two parameter
-sets), as read-only arrays.  Each strike applies only its own e^{izk}/z^2;
-an AVaR ladder evaluates Psi(-z) once per tail.
+With the offset fixed, the strikes of one tail share a contour, so
+:func:`avar` sums a ladder's payoffs in one pass: one array of VaRs, one
+radius search at the strike with the largest envelope factor e^{-+qk}, one
+Psi(-z) on ``_contour``'s nodes, then each strike's own e^{izk}/z^2 in a
+loop, so memory stays one contour whatever the ladder.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -44,7 +42,7 @@ import numpy as np
 from .data import write_csv
 from .gts_model import GtsParams, char_exponent
 from .special_linalg import NumericError
-from .spectral import _WINDOW_TOL, DensityTable, _bluestein, _composite_weights, _cubic_diffs, _read_only, cdf_at
+from .spectral import _WINDOW_TOL, DensityTable, _bluestein, _composite_weights, _cubic_diffs, cdf_at
 
 
 class TailSide(enum.Enum):
@@ -251,21 +249,20 @@ def _quantile_clamped(table: DensityTable, u: np.ndarray) -> np.ndarray:
 _CONTOUR_NODES = 40
 
 
-@lru_cache(maxsize=4)
 def _contour(params: GtsParams, offset: float, radius: float, n: int):
     # Nodes z = t + i offset, t at n + 1 equispaced points on [-radius, radius],
-    # with Psi(-z) and the trapezoid weights: shared by every strike of a tail
-    # whose envelope lands on the same radius.  t = h (j - n/2) is exact at 0,
-    # so the nodes near the pole, which carry the sum, round relative to t;
-    # rounding relative to the radius puts a 5e-12 floor on the ladder payoffs
+    # with Psi(-z) and the trapezoid weights: shared by every strike of a
+    # call.  t = h (j - n/2) is exact at 0, so the nodes near the pole, which
+    # carry the sum, round relative to t; rounding relative to the radius
+    # puts a 5e-12 floor on the ladder payoffs
     h = 2.0 * radius / n
     z = h * (np.arange(n + 1) - 0.5 * n) + 1j * offset
     wt = np.ones(n + 1)
     wt[0] = wt[-1] = 0.5
-    return _read_only(z, char_exponent(params, -z), wt)
+    return z, char_exponent(params, -z), wt
 
 
-def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide) -> float:
+def tail_payoff_fourier(params: GtsParams, k, q: float, side: PayoffSide):
     """Expected one-sided payoff by contour integration.
 
     Call side: E[(X-k)^+] along Im z = +q with q inside (0, lambda_plus);
@@ -274,22 +271,25 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     is -e^{izk + Psi(-z)} / z^2 on either contour; the half width R doubles
     until the envelope at +-R is below 1e-14, and the trapezoid step is
     2 pi min(q, lambda - q) / ``_CONTOUR_NODES``, set by the integrand's
-    strip of analyticity (module docstring), so every strike of a tail
-    shares one node set.
+    strip of analyticity (module docstring).  An array of strikes returns
+    an array, summed on one contour whose R serves the strike with the
+    largest envelope factor e^{-+qk}: the lowest call or the highest put.
     """
-    if not math.isfinite(k):
-        raise ValueError(f"strike k must be finite, got {k}")
+    strikes = np.asarray(k, dtype=float)
+    if not np.isfinite(strikes).all():
+        raise ValueError(f"strike k must be finite, got {strikes[~np.isfinite(strikes)].flat[0]}")
     sgn = 1.0 if side is PayoffSide.CALL else -1.0
     lam = params.lambda_plus if side is PayoffSide.CALL else params.lambda_minus
     if not 0.0 < q < lam:
         raise DivergentContourError(
             f"offset q={q} outside the admissible strip (0, {lam}) for {side.value}"
         )
+    k_env = float(strikes.min() if side is PayoffSide.CALL else strikes.max())
 
     def envelope(t: float) -> float:
         z = t + 1j * sgn * q
         re_psi = char_exponent(params, -z).real
-        return math.exp(-sgn * q * k + re_psi) / (abs(z) ** 2 * 2.0 * math.pi)
+        return math.exp(-sgn * q * k_env + re_psi) / (abs(z) ** 2 * 2.0 * math.pi)
 
     radius = 50.0
     while (env := max(envelope(radius), envelope(-radius))) >= 1e-14:
@@ -302,14 +302,17 @@ def tail_payoff_fourier(params: GtsParams, k: float, q: float, side: PayoffSide)
     n = math.ceil(radius * _CONTOUR_NODES / (math.pi * min(q, lam - q)))
     h = 2.0 * radius / n
     z, psi, wt = _contour(params, sgn * q, radius, n)
-    vals = np.exp(1j * z * k + psi) / (z * z)
-    # einsum, not @: OpenBLAS's dot would change the sum's rounding
-    acc = -h * np.einsum("q,q->", wt, vals) / (2.0 * math.pi)
-    if abs(acc.imag) > (limit := 1e-7 * (1.0 + abs(acc.real))):
-        raise ContourError(
-            f"imaginary residue {acc.imag:.3e} in contour quadrature exceeds 1e-7 (1 + |real|) = {limit:.3e}"
-        )
-    return float(acc.real)
+    out = []
+    for kk in strikes.flat:
+        vals = np.exp(1j * z * kk + psi) / (z * z)
+        # einsum, not @: OpenBLAS's dot would change the sum's rounding
+        acc = -h * np.einsum("q,q->", wt, vals) / (2.0 * math.pi)
+        if abs(acc.imag) > (limit := 1e-7 * (1.0 + abs(acc.real))):
+            raise ContourError(
+                f"imaginary residue {acc.imag:.3e} in contour quadrature exceeds 1e-7 (1 + |real|) = {limit:.3e}"
+            )
+        out.append(float(acc.real))
+    return np.reshape(out, strikes.shape) if strikes.ndim else out[0]
 
 
 _ER_STEP = 1.0 / 150.0
@@ -370,7 +373,7 @@ def optimize_q(params: GtsParams, k: float, q_grid=None) -> float:
 _OFFSET_SHARE = 0.45
 
 
-def avar(params: GtsParams, table: DensityTable, alpha: float, side: TailSide) -> RiskReport:
+def avar(params: GtsParams, table: DensityTable, alpha, side: TailSide):
     """Average value at risk at tail probability ``alpha``.
 
     Lower tail: AVaR = VaR_alpha - E[(VaR - X)^+] / alpha, the mean of the
@@ -379,18 +382,21 @@ def avar(params: GtsParams, table: DensityTable, alpha: float, side: TailSide) -
     1 - alpha and AVaR = VaR + E[(X - VaR)^+] / alpha, with the call payoff
     at offset 0.45 lambda_plus.  The payoff is the same for every offset in
     the tail's strip (0, lambda); ``q_used`` records the offset signed by the
-    contour side (negative for the lower tail).
+    contour side (negative for the lower tail).  A sequence of levels returns
+    a list of reports, their payoffs summed on one contour.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"tail probability must lie in (0, 0.5), got {alpha}")
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
+    if bad := [a for a in alphas if not 0.0 < a < 0.5]:
+        raise ValueError(f"tail probability must lie in (0, 0.5), got {bad[0]}")
     if side is TailSide.LOWER_TAIL:
-        level, lam, payoff_side, sign = alpha, params.lambda_minus, PayoffSide.PUT, -1.0
+        levels, lam, payoff_side, sign = alphas, params.lambda_minus, PayoffSide.PUT, -1.0
     else:
-        level, lam, payoff_side, sign = 1.0 - alpha, params.lambda_plus, PayoffSide.CALL, 1.0
-    v = var(table, level)
+        levels, lam, payoff_side, sign = [1.0 - a for a in alphas], params.lambda_plus, PayoffSide.CALL, 1.0
+    vs = [var(table, level) for level in levels]
     q = _OFFSET_SHARE * lam
-    payoff = tail_payoff_fourier(params, v, q, payoff_side)
-    return RiskReport(level=level, side=side, var=v, avar=v + sign * payoff / alpha, q_used=sign * q)
+    payoffs = tail_payoff_fourier(params, np.array(vs), q, payoff_side).tolist()
+    reports = [RiskReport(lv, side, v, v + sign * p / a, sign * q) for lv, v, p, a in zip(levels, vs, payoffs, alphas)]
+    return reports if np.ndim(alpha) else reports[0]
 
 
 def prob_interval(table: DensityTable, lo: float, hi: float) -> float:

@@ -72,8 +72,8 @@ probes reuse one grid object, so each is built once per grid.  Their
 arrays are read-only.
 ``_bluestein`` keeps no plan, and a plan allocates the padded buffer it
 transforms rows in on each call.  The only ``lru_cache`` members here are
-the argument-free constant tables; the package's one value-keyed cache is
-``risk``'s contour nodes.  A caller that needs the characteristic-function
+the argument-free constant tables, and the package caches nothing under a
+value anywhere.  A caller that needs the characteristic-function
 terms again after an inversion (the fitter's Hessian) evaluates them itself
 and hands them to :func:`spectral_tables`.
 """

@@ -92,6 +92,21 @@ def btc_table():
 
 
 @pytest.fixture
+def contour_calls(monkeypatch):
+    """The argument tuples of every ``risk._contour`` call the test makes."""
+    from gtsfit import risk
+
+    contour, calls = risk._contour, []
+
+    def recorded(*args):
+        calls.append(args)
+        return contour(*args)
+
+    monkeypatch.setattr(risk, "_contour", recorded)
+    return calls
+
+
+@pytest.fixture
 def price_csv(tmp_path):
     """Factory writing a minimal price CSV and returning its path."""
 

@@ -156,6 +156,17 @@ def test_risk_default_levels(sp_json, tmp_path):
     assert cells[2] == "" and cells[4] == ""
 
 
+def test_risk_runs_one_contour_per_tail(sp_json, tmp_path, contour_calls):
+    # each tail's ladder is one avar call on one contour; the rows stay level
+    # by level, the lower tail first
+    out = tmp_path / "o5"
+    assert main(["risk", "--params", str(sp_json), "--levels", "0.1,0.001,0.05", "--out", str(out)]) == EXIT_OK
+    assert len(contour_calls) == 2
+    rows = [line.split(",")[:2] for line in (out / "risk.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    want = [[side, f"{lv:.4f}"] for a in (0.1, 0.001, 0.05) for side, lv in (("LowerTail", a), ("UpperTail", 1.0 - a))]
+    assert rows == want
+
+
 def test_fit_max_iter_exit(returns_csv, sp_json, tmp_path, capsys):
     # a single Newton step cannot reach the optimum: exit code 3, artifacts kept
     out = tmp_path / "o6"

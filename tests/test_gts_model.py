@@ -174,11 +174,11 @@ def test_exponent_term_near_the_beta_face(beta):
 
 @pytest.mark.parametrize("beta", [0.09, 1e-2, 1e-4, 1e-6, 2e-8])
 def test_beta_row_near_the_beta_face(beta):
-    # the beta row of dPsi and the (alpha, beta) entry of each side's Hessian
-    # block against the 50-digit beta derivative of alpha Gamma(-beta)
-    # (w^beta - lambda^beta), on both sides; below _SMALL_BETA both take the
-    # bracket that splits psi(-beta) = psi(1 - beta) + 1/beta, and at
-    # beta = 0.09, |xi| = 400 its h(beta L) takes the closed form (|beta L| > 1/2)
+    # the beta row of dPsi and the (alpha, beta), (beta, beta) and
+    # (lambda, beta) entries of each side's Hessian block against 50-digit
+    # derivatives of alpha Gamma(-beta) (w^beta - lambda^beta), on both sides;
+    # below _SMALL_BETA they split psi(-beta) = psi(1 - beta) + 1/beta, and at
+    # beta = 0.09, |xi| = 400 the h_n(beta L) take the recurrence (|beta L| > 1/2)
     import mpmath as mp
 
     params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)
@@ -188,12 +188,20 @@ def test_beta_row_near_the_beta_face(beta):
     with mp.workdps(50):
         for key, idx, lam, sgn in (("p", 1, 0.82, -1.0), ("m", 2, 0.73, 1.0)):
             a = s[key]["a"]
-            cross = _side_hess(s[key])[1, 0]
-            for x, g, c in zip(xi, grad[idx], cross):
-                w = mp.mpf(lam) + sgn * 1j * mp.mpf(x)
-                ref = complex(mp.diff(lambda b: a * mp.gamma(-b) * (w**b - mp.mpf(lam) ** b), mp.mpf(beta)))
+            hess = _side_hess(s[key])
+            for x, g, c, bb, lb in zip(xi, grad[idx], hess[1, 0], hess[0, 0], hess[2, 0]):
+
+                def term(b, l):
+                    return a * mp.gamma(-b) * ((l + sgn * 1j * mp.mpf(x)) ** b - l**b)
+
+                at = (mp.mpf(beta), mp.mpf(lam))
+                ref = complex(mp.diff(term, at, (1, 0)))
                 assert abs(g - ref) <= 1e-13 * abs(ref), (key, x)
                 assert abs(c - ref / a) <= 1e-13 * abs(ref / a), (key, x)
+                ref = complex(mp.diff(term, at, (2, 0)))
+                assert abs(bb - ref) <= 1e-13 * abs(ref), ("beta, beta", key, x)
+                ref = complex(mp.diff(term, at, (1, 1)))
+                assert abs(lb - ref) <= 1e-13 * abs(ref), ("lambda, beta", key, x)
 
 
 @pytest.mark.parametrize("beta_minus", [2e-8, 1e-7, 1e-6])

@@ -366,9 +366,11 @@ def test_payoff_failures_quote_value_and_bound(sp_params, monkeypatch):
 @pytest.mark.parametrize("side", list(PayoffSide))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_payoff_rejects_non_finite_strike(sp_params, bad, side):
-    # nan returned nan, +inf divided by zero and -inf ended in "envelope inf"
-    with pytest.raises(ValueError, match=f"strike k must be finite, got {bad}"):
-        tail_payoff_fourier(sp_params, bad, 0.3, side)
+    # nan returned nan, +inf divided by zero and -inf ended in "envelope inf";
+    # inside an array of strikes the same value is refused by name
+    for k in (bad, np.array([-1.0, bad, 1.0])):
+        with pytest.raises(ValueError, match=f"strike k must be finite, got {bad}"):
+            tail_payoff_fourier(sp_params, k, 0.3, side)
 
 
 def test_payoff_strip_validation(sp_params):
@@ -529,46 +531,33 @@ def test_avar_offset_invariance(key, sp_params, btc_params, sp_table, btc_table)
         assert up.q_used == 0.45 * params.lambda_plus
 
 
-def _ladder(params, table, cold):
-    reports = []
-    for a in DEFAULT_LEVELS:
-        for side in (TailSide.LOWER_TAIL, TailSide.UPPER_TAIL):
-            if cold:
-                _contour.cache_clear()
-            reports.append(avar(params, table, a, side))
-    return reports
-
-
 @pytest.mark.parametrize("key", ["sp", "btc"])
-def test_avar_ladder_shares_one_contour_per_tail(key, sp_params, btc_params, sp_table, btc_table):
-    # every strike of a tail runs on the same node set, so the 22 payoffs of
-    # the ladder evaluate Psi(-z) twice, and reusing it changes no bit
+def test_avar_ladder_matches_per_level_calls(key, sp_params, btc_params, sp_table, btc_table, contour_calls):
+    # a sequence of levels sums its payoffs on one contour per call; each
+    # default-ladder strike alone lands on the same radius and nodes, so the
+    # ladder equals the per-level calls bit for bit
     params, table = (sp_params, sp_table) if key == "sp" else (btc_params, btc_table)
-    _contour.cache_clear()
-    warm = _ladder(params, table, cold=False)
-    info = _contour.cache_info()
-    assert (info.misses, info.hits) == (2, 2 * len(DEFAULT_LEVELS) - 2)
-    assert warm == _ladder(params, table, cold=True)
+    for side in TailSide:
+        contour_calls.clear()
+        ladder = avar(params, table, DEFAULT_LEVELS, side)
+        assert len(contour_calls) == 1, side
+        assert ladder == [avar(params, table, a, side) for a in DEFAULT_LEVELS]
 
 
-def test_contour_cache_keeps_node_sets_apart(sp_params, btc_params):
-    # these strikes land on different radii on the same contour (k = -30 and
-    # -10 share the call radius, so its nodes); each payoff must equal the
-    # one computed from an empty cache
-    cases = [(sp_params, k, PayoffSide.CALL) for k in (-30.0, -10.0, -3.0, 30.0)]
-    cases += [(sp_params, k, PayoffSide.PUT) for k in (-3.0, 10.0, 30.0)]
-    cases += [(btc_params, k, PayoffSide.CALL) for k in (-30.0, 3.0)]
-
-    def payoff(params, k, side):
-        lam = params.lambda_plus if side is PayoffSide.CALL else params.lambda_minus
-        return tail_payoff_fourier(params, k, 0.45 * lam, side)
-
-    cold = []
-    for case in cases:
-        _contour.cache_clear()
-        cold.append(payoff(*case))
-    _contour.cache_clear()
-    assert [payoff(*case) for case in cases + cases] == cold + cold
+@pytest.mark.parametrize("side", list(PayoffSide))
+def test_payoff_strikes_needing_different_radii(side, btc_params, btc_table, contour_calls):
+    # alone, BTC's strike at 1e-8 of either tail takes R = 50 and those at
+    # 1e-6 and 0.1 take R = 100; one pass sums all three on R = 100, which
+    # moves the first by rounding only and leaves the others' bits
+    levels = (1e-8, 1e-6, 0.1) if side is PayoffSide.PUT else (1.0 - 1e-8, 1.0 - 1e-6, 0.9)
+    lam = btc_params.lambda_minus if side is PayoffSide.PUT else btc_params.lambda_plus
+    strikes = np.array([var(btc_table, a) for a in levels])
+    alone = [tail_payoff_fourier(btc_params, k, 0.45 * lam, side) for k in strikes]
+    together = tail_payoff_fourier(btc_params, strikes, 0.45 * lam, side)
+    assert [args[2] for args in contour_calls] == [50.0, 100.0, 100.0, 100.0]
+    assert isinstance(together, np.ndarray) and together.shape == (3,)
+    assert abs(together[0] - alone[0]) <= 1e-13
+    assert together[1:].tolist() == alone[1:]
 
 
 def test_contour_weights_are_the_trapezoid_rule(sp_params):
@@ -579,13 +568,6 @@ def test_contour_weights_are_the_trapezoid_rule(sp_params):
     assert np.array_equal(wt, want)
     assert z[600] == 0.3j and np.array_equal(z.real, -z.real[::-1])
     assert z[0].real == -50.0 and z[-1].real == 50.0
-
-
-def test_contour_arrays_are_read_only(sp_params):
-    for arr in _contour(sp_params, 0.3, 50.0, 1200):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
 
 
 def test_avar_rejects_bad_alpha(sp_params, sp_table):

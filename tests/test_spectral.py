@@ -1,8 +1,10 @@
 """Transform engine: quadrature weights, fractional DFT, density inversion."""
 
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -523,13 +525,18 @@ def test_side_hess_contraction_matches_dense(params):
     assert np.array_equal(got, np.einsum("kjq,q->kj", _psi_hess(-xi, s), fd))
 
 
-def test_spectral_caches_take_no_arguments():
-    # the only lru_caches in spectral are the constant tables: nothing is
-    # cached under a parameter set or a grid
-    caches = [v for v in vars(spectral).values() if callable(v) and hasattr(v, "cache_info")]
-    assert {"_nc_exact", "_partial_panel_weights", "_weight_harmonics"} <= {c.__name__ for c in caches}
+def test_package_caches_take_no_arguments():
+    # the only lru_caches in gtsfit are constant tables: nothing is cached
+    # under a parameter set, a grid or a contour, in any module
+    import gtsfit
+
+    caches = []
+    for info in pkgutil.iter_modules(gtsfit.__path__):
+        module = importlib.import_module(f"gtsfit.{info.name}")
+        caches += [v for v in vars(module).values() if callable(v) and hasattr(v, "cache_info")]
+    assert {"_nc_exact", "_partial_panel_weights", "_weight_harmonics", "_pow10_table"} <= {c.__name__ for c in caches}
     for c in caches:
-        assert not inspect.signature(c.__wrapped__).parameters, c.__name__
+        assert not inspect.signature(c.__wrapped__).parameters, f"{c.__module__}.{c.__name__}"
 
 
 def test_transform_result_survives_workspace_reuse():
