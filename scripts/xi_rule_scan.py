@@ -14,15 +14,17 @@ the same characteristic-function samples with both rules.  The count is
 shown as c, the trapezoid period 4 pi h / a over the distance the aliased
 images must keep from the output window, so ``choose_grid``'s own count is
 c = ``spectral._XI_MARGIN``; each count is rounded up to a multiple of 6, the
-Newton-Cotes rule's panel size on the 2h+1 nodes.  The last row of each sweep
-is the count the Newton-Cotes rule's own image bound picks, m/2.
+Newton-Cotes rule's panel size on the 2h+1 nodes.  The sweep runs on to
+c = 12, past the counts (c 6 to 10 on these grids) from which the
+Newton-Cotes sum reaches its floor.
 
 Errors, each relative to its row's maximum:
 - at order 0 the density row, at order 1 the worst of the density and its
   seven gradient rows, against the trapezoid sum on 3 times the chosen count;
 - f and F of the tables on about 301 output nodes against the Gil-Pelaez
   reference sums of ``bench/oracle.py`` (f only on the fit grid, whose range
-  has no CDF).
+  has no CDF), the trapezoid sum at the chosen count and the Newton-Cotes sum
+  at the largest swept count.
 
 For each rule, "floor" is the error at the largest swept count, and "from c"
 is the smallest count from which every larger count stays within 10 times
@@ -59,9 +61,14 @@ from gtsfit.spectral import (  # noqa: E402
 )
 
 SAMPLES = {"sp": "fit_sp", "btc": "emp_btc"}
-SWEEP = (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0)  # values of c
+SWEEP = (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0)  # values of c
 REF_FACTOR = 3
 ORACLE_NODES = 301
+
+
+def _count(c, h0):
+    # the frequency count at c, rounded up to a multiple of 6
+    return 6 * math.ceil(c / _XI_MARGIN * h0 / 6)
 
 
 def _rows(params, grid, h, order):
@@ -94,7 +101,7 @@ def _floor(counts, errs):
 def scan(name, params, grid, order):
     h0 = grid.h
     ref = _rows(params, grid, REF_FACTOR * h0, order)[0]
-    counts = sorted({6 * math.ceil(c / _XI_MARGIN * h0 / 6) for c in SWEEP} | {grid.m // 2})
+    counts = sorted({_count(c, h0) for c in SWEEP})
     print(f"{name}, order {order}: m {grid.m}, a {grid.a:g}, chosen h {h0}, reference h {REF_FACTOR * h0}")
     print(f"  {'c':>5} {'h':>6} {'trapezoid':>10} {'NC-12':>10}")
     errs = {"trapezoid": [], "NC-12": []}
@@ -102,9 +109,8 @@ def scan(name, params, grid, order):
         trap, nc = _rows(params, grid, h, order)
         errs["trapezoid"].append(_worst(trap, ref))
         errs["NC-12"].append(_worst(nc, ref))
-        mark = "  <- NC-12 bound, m/2" if h == grid.m // 2 else ""
         c = _XI_MARGIN * h / h0
-        print(f"  {c:>5.2f} {h:>6d} {errs['trapezoid'][-1]:>10.1e} {errs['NC-12'][-1]:>10.1e}{mark}")
+        print(f"  {c:>5.2f} {h:>6d} {errs['trapezoid'][-1]:>10.1e} {errs['NC-12'][-1]:>10.1e}")
     trap_at_bound = _worst(_rows(params, grid, h0, order)[0], ref)
     print(f"  trapezoid at the chosen h {h0} (c {_XI_MARGIN:g}): {trap_at_bound:.1e}")
     for rule, e in errs.items():
@@ -120,7 +126,7 @@ def against_oracle(name, key, params, grid):
     f_ref, big_f_ref = quad.evaluate(x[idx])
     full = grid.nodes == range(grid.m + 1)
     out = []
-    for rule, h in (("trapezoid", grid.h), ("NC-12", grid.m // 2)):
+    for rule, h in (("trapezoid", grid.h), ("NC-12", _count(SWEEP[-1], grid.h))):
         trap, nc = _rows(params, grid, h, 0)
         f = (trap if rule == "trapezoid" else nc)[0]
         err_f = float(np.abs(f[idx] - f_ref).max() / np.abs(f_ref).max())
@@ -143,8 +149,7 @@ def main() -> int:
         n_out = len(fit.nodes)
         print(
             f"== {key}: fit grid nodes {fit.nodes.start}..{fit.nodes.stop - 1} of {fit.m + 1}; "
-            f"padded transform length {_fast_len(fit.m // 2 + n_out)} at h = m/2, "
-            f"{_fast_len(fit.h + n_out)} at the chosen h"
+            f"padded transform length {_fast_len(fit.h + n_out)} at the chosen h"
         )
         for name, grid in ((f"{key} table", table), (f"{key} fit", fit)):
             for order in (0, 1):

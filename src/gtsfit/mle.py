@@ -26,9 +26,9 @@ stencils of the sample's extremes, plus 2 nodes either side, so each data
 point's stencil is the one the full table gives it.  That is about a
 quarter of the window, which is sized for the CDF tables, so every transform
 of a fit runs on about a third of the full window's padded FFT length (the
-frequency half, h+1 nodes, is about a twelfth of the m+1 output nodes);
-the log likelihood agrees with the full-window one to rounding (1e-14
-relative).
+frequency half, h+1 nodes, is a tenth to a fifth of the m+1 output nodes on
+the SP grids); the log likelihood agrees with the full-window one to
+rounding (1e-14 relative).
 
 The optimizer is one damped Newton ascent on the exact observed Hessian.
 The transform grid is chosen once at the starting point and is replaced only

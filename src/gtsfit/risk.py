@@ -24,7 +24,7 @@ which needed about 5 times the nodes for a 100 times larger error on the
 AVaR ladders (``scripts/contour_rule_scan.py``).
 
 With the offset fixed, the strikes of one tail share a contour, so
-:func:`avar` sums a ladder's payoffs in one pass: one array of VaRs, one
+:func:`avar` sums a ladder's payoffs in one pass: one solve for its VaRs, one
 radius search at the strike with the largest envelope factor e^{-+qk}, one
 Psi(-z) on ``_contour``'s nodes, then each strike's own e^{izk}/z^2 in a
 loop, so memory stays one contour whatever the ladder.  Nothing is cached.
@@ -220,15 +220,20 @@ def var(table: DensityTable, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not _WINDOW_TOL <= alpha <= 1.0 - _WINDOW_TOL:
+    return float(_quantiles(table, [alpha])[0])
+
+
+def _quantiles(table: DensityTable, levels: list) -> np.ndarray:
+    # var at every level of a list in (0, 1): its two checks on each, one solve
+    if bad := [lv for lv in levels if not _WINDOW_TOL <= lv <= 1.0 - _WINDOW_TOL]:
         raise BracketEdgeError(
-            f"level {alpha!r} lies within {_WINDOW_TOL:g} of 0 or 1, beyond the tail mass the table's window resolves"
+            f"level {bad[0]!r} lies within {_WINDOW_TOL:g} of 0 or 1, beyond the tail mass the table's window resolves"
         )
-    m = table.F.size
-    i = int(np.searchsorted(table.F, alpha, side="left")) - 1
-    if i < 2 or i > m - 4:
-        raise BracketEdgeError(f"quantile bracket {i} at table edge (m={m})")
-    return float(_quantile_clamped(table, np.array([alpha]))[0])
+    u, m = np.array(levels, dtype=float), table.F.size
+    i = np.searchsorted(table.F, u, side="left") - 1
+    if (edge := (i < 2) | (i > m - 4)).any():
+        raise BracketEdgeError(f"quantile bracket {i[edge][0]} at table edge (m={m})")
+    return _quantile_clamped(table, u)
 
 
 def _quantile_clamped(table: DensityTable, u: np.ndarray) -> np.ndarray:
@@ -392,7 +397,7 @@ def avar(params: GtsParams, table: DensityTable, alpha, side: TailSide):
         levels, lam, payoff_side, sign = alphas, params.lambda_minus, PayoffSide.PUT, -1.0
     else:
         levels, lam, payoff_side, sign = [1.0 - a for a in alphas], params.lambda_plus, PayoffSide.CALL, 1.0
-    vs = [var(table, level) for level in levels]
+    vs = _quantiles(table, levels).tolist()
     q = _OFFSET_SHARE * lam
     payoffs = tail_payoff_fourier(params, np.array(vs), q, payoff_side).tolist()
     reports = [RiskReport(lv, side, v, v + sign * p / a, sign * q) for lv, v, p, a in zip(levels, vs, payoffs, alphas)]

@@ -20,10 +20,9 @@ both rules against a reference sum and against ``bench/oracle.py``).
 
 This module defines the package's two remaining discretisation rules once
 each.  The composite Newton-Cotes weights (``_composite_weights``,
-``_partial_panel_weights``) serve the CDF's panel sums on the output nodes,
-the sizing of the output count m (``_weight_harmonics``) and ``risk``'s
-payoff-reconstruction diagnostic; the AVaR contour sums with the trapezoid
-rule, as the frequency side does.  The 4-point cubic (``_CUBIC``)
+``_partial_panel_weights``) serve the CDF's panel sums on the output nodes
+and ``risk``'s payoff-reconstruction diagnostic; the AVaR contour sums with
+the trapezoid rule, as the frequency side does.  The 4-point cubic (``_CUBIC``)
 interpolates the fitter's rows (``_interp4``); ``cdf_at`` evaluates and
 ``risk``'s quantile solve (behind ``var`` and the sampler) solves one set of
 its coefficients (``_cubic_diffs``), so VaR and the draws invert the CDF
@@ -55,13 +54,13 @@ default, so full-grid callers build the same plan as without ranges.
 
 Grid selection sizes the output window from the slower tempering rate,
 doubles the frequency span until the characteristic function tail is
-negligible, then sizes the two node counts from the distance the aliased
+negligible, then sizes the frequency count h from the distance the aliased
 images of the density, damped at the tempering rate, must keep from the
-output window.  The frequency count h puts the trapezoid period that far
-out with the margin ``_XI_MARGIN``.  The output count m keeps the rule of
-the Newton-Cotes frequency sum it was made for (the images amplified by
-the first harmonic of the periodized panel weights, the one that binds),
-so every table keeps its output nodes and the CDF panels their width.
+output window: h puts the trapezoid period that far out with the margin
+``_XI_MARGIN``.  The output count m does not move a node's value; it sets
+the step at which the 4-point cubic behind ``cdf_at``, ``var``, the sampler
+and ``_interp4`` reads the nodes, and m keeps that cubic's error on the CDF
+below ``_CDF_TOL`` by an a-priori bound.
 
 Work that depends only on the grid lives on the frozen :class:`FourierGrid`
 as two ``functools.cached_property`` members, built on first use and freed
@@ -96,6 +95,7 @@ _TAIL_TOL = 1e-12
 _IMG_TOL = 1e-11
 _MASS_TOL = 1e-4
 _WINDOW_TOL = 1e-9
+_CDF_TOL = 1e-10  # the 4-point cubic's error on the CDF, bounded a priori
 _NODE_CAP = 2**21  # 5x the largest regular grid (BTC, refine 2, coverage 80)
 # the trapezoid period over the distance the images must clear: the SP and
 # BTC order-1 tables are 5e-13 and 2e-15 off a sum on 3x the nodes at 1.25,
@@ -165,14 +165,6 @@ def _composite_weights(panels: int) -> np.ndarray:
     wt = np.tile(np.concatenate(([2.0 * w[0]], w[1:12])), panels + 1)[: 12 * panels + 1]
     wt[0], wt[-1] = w[0], w[12]
     return wt
-
-
-@lru_cache(maxsize=1)
-def _weight_harmonics() -> np.ndarray:
-    # Magnitudes of the 12-periodic harmonics of the periodized panel weights,
-    # one period starting at an interior panel joint; they size the output
-    # count m only
-    return _read_only(np.abs(np.fft.fft(_composite_weights(2)[12:24]) / 12.0))[0]
 
 
 @dataclass(frozen=True)
@@ -361,12 +353,14 @@ def choose_grid(
     rate; they stay below 1e-11 across the output window once the period
     exceeds a distance ``need``, and the frequency half count h puts it at
     ``_XI_MARGIN`` times ``need``.  The output count m starts at ``m_target`` points
-    (rounded up to a multiple of 12) and grows to the count the composite
-    Newton-Cotes frequency sum needed, whose first weight harmonic puts
-    images at 1/12 of its period; it sets the output step and the CDF panels.
-    ``refine`` multiplies the final panel count and h.  A grid of more than
-    2**21 output nodes raises :class:`GridError` before anything of that
-    size is built.
+    (rounded up to a multiple of 12) and grows to the smallest multiple of
+    12 whose step gamma = span/m keeps the 4-point cubic's error on the CDF
+    below 1e-10.  On the cubic's central cell that error is at most
+    max|(t+1) t (t-1) (t-2)|/4! gamma^4 = 9/384 gamma^4 times the CDF's
+    largest fourth derivative, which M3 = (1/2 pi) int |xi|^3 |F| dxi bounds;
+    M3 takes the image bound's 4097 samples of |F|.  ``refine`` multiplies
+    the final panel count and h.  A grid of more than 2**21 output nodes
+    raises :class:`GridError` before anything of that size is built.
     """
     params.validate()
     if m_target < 12:
@@ -390,20 +384,15 @@ def choose_grid(
         a *= 2.0
 
     xi_c = np.linspace(-a / 2.0, a / 2.0, 4097)
-    big_b = float(np.trapezoid(np.abs(char_fn(params, xi_c)), xi_c)) / (2.0 * math.pi)
+    abs_f = np.abs(char_fn(params, xi_c))
+    big_b = float(np.trapezoid(abs_f, xi_c)) / (2.0 * math.pi)
+    m3 = float(np.trapezoid(np.abs(xi_c) ** 3 * abs_f, xi_c)) / (2.0 * math.pi)
 
-    # The Newton-Cotes sum's r-th weight harmonic puts images r/12 of its
-    # period away, so the period must reach 12/r times a distance.  The first
-    # harmonic (2.9e-8) always binds: a later one (at most 7.45) lengthens the
-    # distance by at most ln(7.45/2.9e-8)/lam_min = 19.4/lam_min but halves
-    # 12/r or more, and half + d0 alone is at least 23.7/lam_min.
-    d0 = 3.0 / lam_min + abs(center)
-    need = half + d0 + max(0.0, math.log(_weight_harmonics()[1] * big_b / _IMG_TOL)) / lam_min
-    m_img = need * 12.0 * a / (2.0 * math.pi)
-    n = max(math.ceil(m_target / 12.0), math.ceil(m_img / 12.0)) * refine
+    m_cubic = span * (9.0 / 384.0 * m3 / _CDF_TOL) ** 0.25
+    n = max(math.ceil(m_target / 12.0), math.ceil(m_cubic / 12.0)) * refine
     if 12 * n > _NODE_CAP:
         raise GridError(f"grid needs m = {12 * n} nodes, above the cap of {_NODE_CAP}")
-    need = half + d0 + max(0.0, math.log(big_b / _IMG_TOL)) / lam_min
+    need = half + 3.0 / lam_min + abs(center) + max(0.0, math.log(big_b / _IMG_TOL)) / lam_min
     h = math.ceil(_XI_MARGIN * need * a / (4.0 * math.pi)) * refine
     return FourierGrid(a=a, n=n, span=span, center=center, h=h)
 

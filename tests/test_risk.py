@@ -1,5 +1,6 @@
 """Quantile inversion, tail expectations, contour offset selection."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -542,6 +543,37 @@ def test_avar_ladder_matches_per_level_calls(key, sp_params, btc_params, sp_tabl
         ladder = avar(params, table, DEFAULT_LEVELS, side)
         assert len(contour_calls) == 1, side
         assert ladder == [avar(params, table, a, side) for a in DEFAULT_LEVELS]
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_avar_ladder_solves_vars_like_var(key, sp_params, btc_params, sp_table, btc_table):
+    # a tail's VaRs come from one solve, equal to var at each level bit for
+    # bit, and var's two checks hold for every level of the ladder
+    params, table = (sp_params, sp_table) if key == "sp" else (btc_params, btc_table)
+    levels = (*DEFAULT_LEVELS, 1e-4)
+    assert [r.var for r in avar(params, table, levels, TailSide.LOWER_TAIL)] == [var(table, a) for a in levels]
+    assert [r.var for r in avar(params, table, levels, TailSide.UPPER_TAIL)] == [var(table, 1.0 - a) for a in levels]
+    with pytest.raises(BracketEdgeError, match=r"level 1e-10 lies within 1e-09 of 0 or 1"):
+        avar(params, table, (0.05, 1e-10), TailSide.LOWER_TAIL)
+    with pytest.raises(BracketEdgeError, match=r"level 0\.9999999999 lies within 1e-09 of 0 or 1"):
+        avar(params, table, (0.05, 1e-10), TailSide.UPPER_TAIL)
+    short = dataclasses.replace(table, F=table.F[table.F >= 1e-7])
+    with pytest.raises(BracketEdgeError, match=rf"quantile bracket -1 at table edge \(m={short.F.size}\)"):
+        avar(params, short, (0.05, 1e-8), TailSide.LOWER_TAIL)
+
+
+@pytest.mark.parametrize("key", ["sp", "btc"])
+def test_ladders_match_four_times_the_output_nodes(key, sp_params, btc_params, sp_table, btc_table):
+    # the output count only sets the step the cubic reads the node values
+    # at: both tails' VaR and AVaR, at the default levels and at 1e-4, print
+    # the same 4 decimals on a table with the same a and h and 4x the nodes
+    params, table = (sp_params, sp_table) if key == "sp" else (btc_params, btc_table)
+    fine = spectral.density_table(params, dataclasses.replace(table.grid, n=4 * table.grid.n))
+    assert (fine.grid.a, fine.grid.h) == (table.grid.a, table.grid.h)
+    levels = (*DEFAULT_LEVELS, 1e-4)
+    for side in TailSide:
+        for got, want in zip(avar(params, table, levels, side), avar(params, fine, levels, side)):
+            assert f"{got.var:.4f} {got.avar:.4f}" == f"{want.var:.4f} {want.avar:.4f}", (side, got.level)
 
 
 @pytest.mark.parametrize("side", list(PayoffSide))

@@ -42,7 +42,6 @@ from gtsfit.spectral import (
     _output_points,
     _partial_panel_weights,
     _pull_back,
-    _weight_harmonics,
     cdf_at,
     choose_grid,
     density_table,
@@ -193,7 +192,7 @@ def test_plan_transpose_is_adjoint(m, n_out, shift):
 
 
 def test_grid_rounds_to_panel_multiple():
-    # strong tempering keeps the alias requirement below the target
+    # strong tempering keeps the cubic's node requirement below the target
     p = GtsParams(0.0, 0.5, 0.5, 1.0, 1.0, 5.0, 5.0)
     g = choose_grid(p, m_target=8192)
     assert g.m == 8196
@@ -218,10 +217,10 @@ def test_grid_centered_on_mean():
     assert np.allclose(np.diff(x), g.gamma_step)
 
 
-@pytest.mark.parametrize("params, m", [(SP, 21036), (BTC, 153912)], ids=["sp", "btc"])
+@pytest.mark.parametrize("params, m", [(SP, 18840), (BTC, 36948)], ids=["sp", "btc"])
 def test_grid_xi_count_is_below_half_the_output_count(params, m):
-    # the output count keeps the size the Newton-Cotes frequency sum needed;
-    # the trapezoid sum takes fewer frequency nodes than m/2
+    # the output count is set by the 4-point cubic's error bound, the
+    # frequency count by the trapezoid sum's images: fewer than m/2 nodes
     grid = choose_grid(params, 8192)
     assert grid.m == m
     assert grid.h < grid.m // 2
@@ -244,33 +243,41 @@ def _box_params(count, seed):
         yield GtsParams(rng.uniform(-1.0, 1.0), *beta, *alpha, *lam)
 
 
-def _six_harmonic_n(params, grid, m_target):
-    # the panel count from the largest period requirement of the first six
-    # Newton-Cotes weight harmonics, on the grid's window and frequency span
-    lam_min = min(params.lambda_plus, params.lambda_minus)
+def _cubic_bound(params, grid, m):
+    # (9/384) gamma^4 M3 at gamma = span/m: the a-priori bound on the 4-point
+    # cubic's CDF error, M3 = (1/2 pi) int |xi|^3 |F| on the grid's span
     xi = np.linspace(-grid.a / 2.0, grid.a / 2.0, 4097)
-    big_b = float(np.trapezoid(np.abs(char_fn(params, xi)), xi)) / (2.0 * math.pi)
-    d0 = 3.0 / lam_min + abs(grid.center)
-    p_req = max(
-        (grid.span / 2.0 + d0 + max(0.0, math.log(harm * big_b / 1e-11)) / lam_min) * 12.0 / r
-        for r, harm in zip(range(1, 7), _weight_harmonics()[1:7])
-    )
-    return max(math.ceil(m_target / 12.0), math.ceil(p_req * grid.a / (2.0 * math.pi) / 12.0))
+    m3 = float(np.trapezoid(np.abs(xi) ** 3 * np.abs(char_fn(params, xi)), xi)) / (2.0 * math.pi)
+    return 9.0 / 384.0 * (grid.span / m) ** 4 * m3
 
 
-def test_output_count_matches_six_harmonic_rule():
-    # m is sized from the first weight harmonic alone; the maximum over the
-    # first six is the oracle, on the reference sets, the fitted SP set and a
-    # seeded sweep of the parameter box (grids over the node cap are skipped)
-    checked = 0
+def test_output_count_is_smallest_meeting_cubic_bound(monkeypatch):
+    # m is the smallest multiple of 12 that meets the a-priori bound 1e-10,
+    # and the built table's own estimate (9/384) max|Delta^4 F| meets it
+    # too, on the reference sets, the fitted SP set and a seeded sweep of
+    # the parameter box.  A point whose tail is not covered below a = 1e6
+    # has no grid; one whose m is above the node cap is checked with the cap
+    # lifted and must be refused with it
+    monkeypatch.setattr(spectral, "_NODE_CAP", 2**40)
+    tables = over_cap = 0
     for params in (SP, BTC, _SP_FIT, *_box_params(200, 29)):
         try:
             grid = choose_grid(params, 12)
-        except GridError:
+        except GridError as err:
+            assert "tail not covered" in str(err), params
             continue
-        assert grid.n == _six_harmonic_n(params, grid, 12), params
-        checked += 1
-    assert checked >= 100
+        assert _cubic_bound(params, grid, grid.m) <= 1e-10 < _cubic_bound(params, grid, grid.m - 12), params
+        if grid.m > 2**21:
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral, "_NODE_CAP", 2**21)
+                with pytest.raises(GridError, match=f"m = {grid.m} nodes, above the cap"):
+                    choose_grid(params, 12)
+            over_cap += 1
+            continue
+        table = density_table(params, grid)
+        assert 9.0 / 384.0 * np.abs(np.diff(table.F, 4)).max() <= 1e-10, params
+        tables += 1
+    assert (tables, over_cap) == (194, 4)
 
 
 @pytest.mark.parametrize("params", [SP, BTC], ids=["sp", "btc"])
@@ -534,7 +541,7 @@ def test_package_caches_take_no_arguments():
     for info in pkgutil.iter_modules(gtsfit.__path__):
         module = importlib.import_module(f"gtsfit.{info.name}")
         caches += [v for v in vars(module).values() if callable(v) and hasattr(v, "cache_info")]
-    assert {"_nc_exact", "_partial_panel_weights", "_weight_harmonics", "_pow10_table"} <= {c.__name__ for c in caches}
+    assert {"_nc_exact", "_partial_panel_weights", "_pow10_table"} <= {c.__name__ for c in caches}
     for c in caches:
         assert not inspect.signature(c.__wrapped__).parameters, f"{c.__module__}.{c.__name__}"
 
@@ -596,7 +603,7 @@ def test_cached_plan_arrays_are_read_only():
     grid = _small_grid(SP)
     plan = grid.inversion_plan
     cached = (plan.pre, plan.kern, plan.post, *grid.half_weights)
-    for arr in cached + (_partial_panel_weights(), _weight_harmonics()):
+    for arr in cached + (_partial_panel_weights(),):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -723,7 +730,7 @@ def test_table_failures_quote_value_and_bound():
 def test_table_rejects_ranged_grid():
     # the CDF accumulates every panel, so a table needs every output node
     grid = dataclasses.replace(choose_grid(SP, 8192), k_lo=10, k_hi=200)
-    with pytest.raises(ValueError, match=r"all 21037 output nodes, the grid's range is \[10, 200\)"):
+    with pytest.raises(ValueError, match=rf"all {grid.m + 1} output nodes, the grid's range is \[10, 200\)"):
         density_table(SP, grid)
 
 
