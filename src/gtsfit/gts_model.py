@@ -19,6 +19,13 @@ the first parameter derivatives of Psi and the per-side parts from which
 the fitter's Hessian contraction pay for one pass.  The two jump sides never
 mix, so the second derivatives are kept as one (beta, alpha, lambda) block
 per side.  Nothing is cached in this module.
+
+Each beta-dependent quantity has one form on the whole box 0 < beta < 1.
+The bracket is formed as lambda^beta expm1(beta L), L = log(w/lambda), and
+its beta derivatives split psi(-beta) = psi(1 - beta) + 1/beta so that the
+1/beta cancels in closed form against h_n(beta L) = int_0^1 t^n e^{beta L t} dt.
+None of them loses bits to cancellation against Gamma(-beta) ~ -1/beta as
+beta approaches 0.
 """
 
 from __future__ import annotations
@@ -35,13 +42,6 @@ from .data import write_json
 from .special_linalg import digamma_fn, gamma_fn, trigamma_fn
 
 BOUND_EPS = 1e-8
-
-# tail index below which w^beta - lambda^beta is formed by expm1, and the beta
-# row (_beta_bracket) and _side_hess's beta entries in cancellation-free forms;
-# at and above it the direct differences, which the seeded draws are pinned
-# to.  The direct beta row is 1e-11 off at beta = 1e-2 and 6e-14 at 0.1
-# (50-digit mpmath, |xi| >= 0.3)
-_SMALL_BETA = 0.1
 
 # canonical indices (beta, alpha, lambda) of each jump side's parameters
 _SIDE_INDEX = {"p": (1, 3, 5), "m": (2, 4, 6)}
@@ -182,6 +182,8 @@ def activity_class(params: GtsParams) -> ActivityClass:
 def _side_parts(params: GtsParams, xi, with_psi: bool = False):
     # Per-side scratch values shared by the exponent and its derivatives; the
     # powers they read (w^beta - lambda^beta, w^(beta-1)) are formed here once.
+    # w^beta - lambda^beta cancels as beta -> 0 while Gamma(-beta) grows like
+    # 1/beta, so it is formed as lambda^beta expm1(beta L), L = log(w/lambda)
     sides = {}
     for key, b, a, lam, sgn in (
         ("p", params.beta_plus, params.alpha_plus, params.lambda_plus, -1.0),
@@ -192,62 +194,57 @@ def _side_parts(params: GtsParams, xi, with_psi: bool = False):
             raise BranchCutError(
                 f"power argument off the principal branch (side {key}, lambda {lam})"
             )
-        g = gamma_fn(-b)
         logw = np.log(w)
+        llam = math.log(lam)
+        pl = lam**b
+        x = b * (logw - llam)
+        em1 = np.expm1(x)
         parts = {
             "b": b,
             "a": a,
             "lam": lam,
-            "g": g,
+            "g": gamma_fn(-b),
             "logw": logw,
-            "P": np.exp(b * logw),
-            "Pl": lam**b,
-            "llam": math.log(lam),
+            "Pl": pl,
+            "llam": llam,
+            "diff": pl * em1,
         }
-        if b < _SMALL_BETA:
-            # w^beta - lambda^beta cancels as beta -> 0 while Gamma(-beta)
-            # grows like 1/beta: lambda^beta expm1(beta log(w/lambda)) keeps it
-            parts["diff"] = parts["Pl"] * np.expm1(b * (logw - parts["llam"]))
-        else:
-            parts["diff"] = parts["P"] - parts["Pl"]
         if with_psi:
-            parts["psi0"] = digamma_fn(-b)
-            parts["psi1"] = trigamma_fn(-b)
+            parts["psi0"] = digamma_fn(1.0 - b)
+            parts["psi1"] = trigamma_fn(1.0 - b)
             parts["wbm1"] = np.exp((b - 1.0) * logw)
             parts["lbm1"] = lam ** (b - 1.0)
+            parts["h1"], parts["h2"] = _h(x, em1)
         sides[key] = parts
     return sides
 
 
-def _h(x, n: int):
-    # h_n(x) = int_0^1 t^n e^{xt} dt elementwise, n >= 1: below |x| = 1/2 the
-    # 16 terms of sum_k x^k / ((k + n + 1) k!) reach rounding, where the
-    # recurrence h_n = (e^x - n h_{n-1}) / x from h_0 = expm1(x) / x loses bits
-    x = np.asarray(x)
-    out = np.zeros_like(x)
-    for k in reversed(range(16)):
-        out *= x
-        out += 1 / ((k + n + 1) * math.factorial(k))
-    far = np.abs(x) >= 0.5
-    if far.any():
-        xf = x[far]
-        val = np.expm1(xf) / xf
-        for j in range(1, n + 1):
-            val = (np.exp(xf) - j * val) / xf
-        out[far] = val
-    return out
+# the series coefficients 1 / ((k + n + 1) k!) of h_n(x), k < 16, n = 1, 2
+_H_SERIES = np.array([[1 / ((k + n + 1) * math.factorial(k)) for k in range(16)] for n in (1, 2)])
+
+
+def _h(x, em1):
+    # (h_1(x), h_2(x)), h_n(x) = int_0^1 t^n e^{xt} dt elementwise, from
+    # em1 = expm1(x): below |x| = 1/2 the 16 terms of
+    # sum_k x^k / ((k + n + 1) k!) reach rounding, where the recurrence
+    # h_n = (e^x - n h_{n-1}) / x from h_0 = expm1(x) / x loses bits
+    x, em1 = np.asarray(x), np.asarray(em1)
+    h1, h2 = np.empty_like(x), np.empty_like(x)
+    near = np.abs(x) < 0.5
+    xf, ef = x[~near], em1[~near]
+    h1f = (ef + 1.0 - ef / xf) / xf
+    h1[~near], h2[~near] = h1f, (ef + 1.0 - 2.0 * h1f) / xf
+    h1[near], h2[near] = _H_SERIES @ np.vander(x[near], 16, increasing=True).T
+    return h1, h2
 
 
 def _beta_bracket(d):
     # the beta derivative of one side's term over alpha Gamma(-beta), from its
-    # side parts d; below _SMALL_BETA psi(-beta) = psi(1 - beta) + 1/beta, and
-    # the 1/beta part against w^beta log w - lambda^beta log lambda leaves
+    # side parts d: psi(-beta) = psi(1 - beta) + 1/beta, and the 1/beta part
+    # against w^beta log w - lambda^beta log lambda leaves
     # lambda^beta beta L^2 h_1(beta L), L = log(w/lambda), so nothing cancels
-    b, logw, llam = d["b"], d["logw"], d["llam"]
-    if b >= _SMALL_BETA:
-        return -d["psi0"] * d["diff"] + d["P"] * logw - d["Pl"] * llam
-    ell = logw - llam
-    return (llam - digamma_fn(1.0 - b)) * d["diff"] + d["Pl"] * b * ell * ell * _h(b * ell, 1)
+    ell = d["logw"] - d["llam"]
+    return (d["llam"] - d["psi0"]) * d["diff"] + d["Pl"] * d["b"] * ell * ell * d["h1"]
 
 
 def _exponent(params: GtsParams, xi, s):
@@ -302,27 +299,14 @@ def _side_hess(d) -> np.ndarray:
     out[1, 2] = out[2, 1] = g * b * (wbm1 - lbm1)
     out[1, 0] = out[0, 1] = g * _beta_bracket(d)
     out[2, 2] = a * g * b * (b - 1.0) * (wbm2 - lbm2)
-    if b >= _SMALL_BETA:
-        out[2, 0] = out[0, 2] = a * g * (
-            (1.0 - b * psi0) * (wbm1 - lbm1) + b * (wbm1 * logw - lbm1 * llam)
-        )
-        out[0, 0] = a * g * (
-            (psi0 * psi0 + psi1) * diff
-            - 2.0 * psi0 * (d["P"] * logw - d["Pl"] * llam)
-            + d["P"] * logw * logw
-            - d["Pl"] * llam * llam
-        )
-        return out
-    # below the switch the 1/beta of psi(-beta) = psi(1 - beta) + 1/beta
-    # cancels in closed form: with c = log lambda - psi(1 - beta) the term
-    # is -alpha Gamma(1 - beta) lambda^beta L h_0(x), x = beta L, whose
-    # second beta derivative brings in h_1 and h_2
-    psi0_1, ell = digamma_fn(1.0 - b), logw - llam
-    c, x = llam - psi0_1, b * ell
-    out[2, 0] = out[0, 2] = a * g * b * ((wbm1 * logw - lbm1 * llam) - psi0_1 * (wbm1 - lbm1))
-    out[0, 0] = a * g * (
-        (c * c + trigamma_fn(1.0 - b)) * diff + d["Pl"] * x * ell * (2.0 * c * _h(x, 1) + ell * _h(x, 2))
-    )
+    # the 1/beta of psi(-beta) = psi(1 - beta) + 1/beta cancels in closed
+    # form: with c = log lambda - psi(1 - beta) the term is
+    # -alpha Gamma(1 - beta) lambda^beta L h_0(x), x = beta L, whose second
+    # beta derivative brings in h_1 and h_2
+    ell = logw - llam
+    c, x = llam - psi0, b * ell
+    out[2, 0] = out[0, 2] = a * g * b * ((wbm1 * logw - lbm1 * llam) - psi0 * (wbm1 - lbm1))
+    out[0, 0] = a * g * ((c * c + psi1) * diff + d["Pl"] * x * ell * (2.0 * c * d["h1"] + ell * d["h2"]))
     return out
 
 

@@ -1,10 +1,10 @@
 """Special functions and small symmetric-matrix routines.
 
-Self-contained gamma/digamma/trigamma evaluations plus the 7x7 symmetric
-solve/eigenvalue kernels used by the likelihood optimizer, which call
-LAPACK through numpy.  Everything here is plain double precision; accuracy
-targets are 1e-12 relative for the gamma function on |x| <= 30 and 1e-10
-for the psi functions.
+Gamma/digamma/trigamma evaluations plus the 7x7 symmetric solve/eigenvalue
+kernels used by the likelihood optimizer, which call LAPACK through numpy.
+Everything here is plain double precision.  The gamma function is the
+standard library's ``math.gamma`` behind the package's pole check; the psi
+functions, which the standard library lacks, target 1e-10 relative.
 
 :class:`NumericError` is the base of every numeric failure in the package;
 input and domain errors do not have it.
@@ -33,23 +33,6 @@ class ConvergenceError(NumericError, RuntimeError):
     """Iterative kernel failed to reach its tolerance."""
 
 
-# Lanczos approximation, g = 7, nine coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 def _sinpi(x: float) -> float:
     # Range-reduced sin(pi x); keeps relative accuracy near integer x.
     m = round(x)
@@ -62,17 +45,10 @@ def _check_pole(x: float) -> None:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function via the Lanczos sum, reflection below 0.5."""
+    """Gamma function; :class:`PoleError` at 0 and the negative integers."""
     x = float(x)
     _check_pole(x)
-    if x < 0.5:
-        return math.pi / (_sinpi(x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_P[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 # Asymptotic tail coefficients: -B_{2n}/(2n) for digamma, B_{2n} for trigamma.

@@ -172,8 +172,6 @@ class FourierGrid:
     """Transform geometry: an output window of width ``span`` with m = 12 n
     steps and node m/2 on ``center``, and a frequency span ``a`` sampled at
     the 2h+1 nodes xi_q = (q - h) a/(2h), summed by the trapezoid rule.
-    ``h=None`` is stored as m/2, the frequency count of a grid whose two
-    sides have one step count; ``choose_grid`` sets its own.
 
     The inversion computes the output nodes ``k_lo <= k < k_hi`` of the m+1;
     ``k_hi=None`` runs to node m, and a ``k_hi`` of m+1 is stored as None,
@@ -185,13 +183,13 @@ class FourierGrid:
     n: int
     span: float
     center: float
+    h: int
     k_lo: int = 0
     k_hi: int | None = None
-    h: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "h", self.m // 2 if self.h is None else operator.index(self.h))
+        object.__setattr__(self, "h", operator.index(self.h))
         for name in ("a", "span", "center"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"grid field {name} must be finite, got {value}")

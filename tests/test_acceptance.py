@@ -197,7 +197,7 @@ def test_06_transform_oracles():
 
     # Gaussian round trip: inversion of a closed-form characteristic function
     mean = 0.3
-    grid = FourierGrid(a=40.0, n=150, span=16.0, center=mean)
+    grid = FourierGrid(a=40.0, n=150, span=16.0, center=mean, h=900)
     m = grid.m
     xi = (np.arange(m + 1) - m / 2.0) * grid.beta_step
     rows = np.exp(-0.5 * xi**2 - 1j * mean * xi)[None, :]

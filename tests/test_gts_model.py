@@ -150,18 +150,17 @@ def test_char_exponent_branch_cut(sp_params):
         char_exponent(sp_params, 1j * (sp_params.lambda_plus + 0.1))
 
 
-@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6, 2e-8])
+@pytest.mark.parametrize("beta", [0.9, 0.68, 0.5, 0.25, 0.1, 1e-2, 1e-4, 1e-6, 2e-8])
 def test_exponent_term_near_the_beta_face(beta):
     # alpha Gamma(-beta) (w^beta - lambda^beta) of each side against 50
-    # digits; the direct difference w^beta - lambda^beta lost 4e-9 of it at
-    # beta = 2e-8 to cancellation against Gamma(-beta) ~ -1/beta.  Near
-    # xi = 0 the term itself vanishes, and the direct difference (beta >=
-    # _SMALL_BETA) was off by 8e-12 of it at |xi| = 1e-3 and beta = 1e-2
-    # (rounding-level in Psi), so the frequencies stay away from 0
+    # digits, over the box; the direct difference w^beta - lambda^beta lost
+    # 4e-9 of it at beta = 2e-8 to cancellation against Gamma(-beta) ~
+    # -1/beta.  Near xi = 0 the term itself vanishes: at |xi| = 1e-3 the
+    # direct difference was 5.1e-13 of it off at beta = 0.1 and 8e-12 at 1e-2
     import mpmath as mp
 
     params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)
-    xi = np.array([-40.0, -1.7, 1.7, 40.0])
+    xi = np.array([-40.0, -1.7, -1e-3, 1e-3, 1.7, 40.0])
     s = _side_parts(params, xi)
     with mp.workdps(50):
         for key, lam, sgn in (("p", 0.82, -1.0), ("m", 0.73, 1.0)):
@@ -172,17 +171,18 @@ def test_exponent_term_near_the_beta_face(beta):
                 assert abs(g - complex(ref)) <= 1e-14 * abs(complex(ref)), (key, x)
 
 
-@pytest.mark.parametrize("beta", [0.09, 1e-2, 1e-4, 1e-6, 2e-8])
+@pytest.mark.parametrize("beta", [0.68, 0.5, 0.25, 0.1, 0.09, 1e-2, 1e-4, 1e-6, 2e-8])
 def test_beta_row_near_the_beta_face(beta):
     # the beta row of dPsi and the (alpha, beta), (beta, beta) and
     # (lambda, beta) entries of each side's Hessian block against 50-digit
     # derivatives of alpha Gamma(-beta) (w^beta - lambda^beta), on both sides;
-    # below _SMALL_BETA they split psi(-beta) = psi(1 - beta) + 1/beta, and at
-    # beta = 0.09, |xi| = 400 the h_n(beta L) take the recurrence (|beta L| > 1/2)
+    # they split psi(-beta) = psi(1 - beta) + 1/beta over the box (the direct
+    # (beta, beta) entry was 3.3e-13 off at beta = 0.1, |xi| = 0.3), and at
+    # beta >= 0.09, |xi| = 400 the h_n(beta L) take the recurrence (|beta L| > 1/2)
     import mpmath as mp
 
     params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)
-    xi = np.array([-400.0, -40.0, -1.7, 1.7, 40.0, 400.0])
+    xi = np.array([-400.0, -40.0, -1.7, -0.3, 0.3, 1.7, 40.0, 400.0])
     s = _side_parts(params, xi, with_psi=True)
     grad = _psi_grad(xi, s)
     with mp.workdps(50):

@@ -60,6 +60,21 @@ def test_gamma_near_pole():
     assert gamma_fn(-0.9999) == pytest.approx(-10000.422925524177, rel=1e-12)
 
 
+def test_gamma_on_the_model_range():
+    # Gamma(-beta) of the exponent, Gamma(1 - beta) and the cumulants'
+    # Gamma(k - beta), k = 2..8, against 50 digits on a fixed set of tail
+    # indices; a Lanczos sum with g = 7 was 5e-15 off on this set
+    import mpmath as mp
+
+    betas = [1e-8, 1e-4, 0.01, 0.1, 0.242579, 0.5, 0.68229, 0.9, 0.99, 1.0 - 1e-8]
+    betas += list(np.linspace(0.003, 0.997, 60))
+    with mp.workdps(50):
+        for b in betas:
+            for x in [-b, 1.0 - b] + [k - b for k in range(2, 9)]:
+                ref = mp.gamma(mp.mpf(x))
+                assert abs(mp.mpf(gamma_fn(x)) - ref) <= 2e-15 * abs(ref), (b, x)
+
+
 @pytest.mark.parametrize("x,want", DIGAMMA_CASES)
 def test_digamma_reference(x, want):
     assert digamma_fn(x) == pytest.approx(want, rel=1e-12)

@@ -315,29 +315,30 @@ def test_grid_validates_arguments():
 def test_fourier_grid_rejects_bad_geometry():
     for bad in ({"a": 0.0}, {"n": 0}, {"span": -1.0}, {"h": 0}, {"h": -4}):
         with pytest.raises(ValueError):
-            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
+            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, "h": 60, **bad})
     with pytest.raises(TypeError):
         FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=45.0)
-    g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0)
+    # the frequency side has its own node count, which every grid names
+    with pytest.raises(TypeError):
+        FourierGrid(a=64.0, n=10, span=8.0, center=0.0)
+    g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=60)
     assert (g.m, g.h, g.beta_step, g.gamma_step) == (120, 60, 64.0 / 120, 8.0 / 120)
-    # the frequency side has its own node count; h=None is stored as m/2
-    assert g == FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=60)
     assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=np.int64(45)).beta_step == 64.0 / 90
     # the output lattice has no shift of its own: node k sits at center + (k - m/2) gamma_step
-    assert [f.name for f in dataclasses.fields(g)] == ["a", "n", "span", "center", "k_lo", "k_hi", "h"]
+    assert [f.name for f in dataclasses.fields(g)] == ["a", "n", "span", "center", "h", "k_lo", "k_hi"]
 
 
 def test_fourier_grid_rejects_bad_node_range():
     # the output-node range must satisfy 0 <= k_lo < k_hi <= m + 1 (m = 120)
     for bad in ({"k_lo": -1}, {"k_lo": 121}, {"k_lo": 5, "k_hi": 5}, {"k_hi": 0}, {"k_hi": 122}):
         with pytest.raises(ValueError, match=r"output-node range \[-?\d+, \d+\) not inside \[0, 121\)"):
-            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
-    g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0)
+            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, "h": 60, **bad})
+    g = FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=60)
     assert g.nodes == range(121)
-    assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, k_hi=40).nodes == range(40)
-    assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, k_lo=7).nodes == range(7, 121)
+    assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=60, k_hi=40).nodes == range(40)
+    assert FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=60, k_lo=7).nodes == range(7, 121)
     # a range covering every node is the default grid, so it shares its caches
-    full = FourierGrid(a=64.0, n=10, span=8.0, center=0.0, k_lo=0, k_hi=121)
+    full = FourierGrid(a=64.0, n=10, span=8.0, center=0.0, h=60, k_lo=0, k_hi=121)
     assert full == g and hash(full) == hash(g) and full.k_hi is None
 
 
@@ -351,7 +352,7 @@ def test_fourier_grid_sizes_are_integers():
     assert np.array_equal(density_table(SP, cast).f, density_table(SP, grid).f)
     for bad in ({"n": 2.5}, {"n": 10.0}, {"k_lo": 1.0}, {"k_hi": 60.5}):
         with pytest.raises(TypeError):
-            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, **bad})
+            FourierGrid(**{"a": 64.0, "n": 10, "span": 8.0, "center": 0.0, "h": 60, **bad})
     assert _fast_len(np.int64(1753)) == 1800
     assert type(_fast_len(np.int64(1753))) is int
 
@@ -361,7 +362,7 @@ def test_fourier_grid_sizes_are_integers():
 
 def _small_grid(params, n=24, coverage=20.0):
     cum = cumulants(params, 2)
-    return FourierGrid(a=64.0, n=n, span=coverage * math.sqrt(cum.kappa(2)), center=cum.kappa(1))
+    return FourierGrid(a=64.0, n=n, span=coverage * math.sqrt(cum.kappa(2)), center=cum.kappa(1), h=6 * n)
 
 
 def _trapezoid(nodes):
@@ -426,7 +427,7 @@ def test_pull_back_is_adjoint_of_inversion(shift):
     # sum_k c_k f_r(x_k) == Re sum_q rows[r, h+q] d_q for every row, d the
     # pull-back of c, on the default lattice and one shifted by 0.3 steps,
     # with h = m/2 and with fewer frequency nodes (h = 101)
-    for h in (None, 101):
+    for h in (144, 101):
         grid = _shifted_grid(SP, shift, h=h)
         rows = _char_rows(SP, grid, 2)
         assert rows.shape == (36, 2 * grid.h + 1)
@@ -446,7 +447,7 @@ def test_ranged_pull_back_is_adjoint_of_ranged_inversion(shift, k_lo, k_hi):
     # inverts only the output nodes k_lo..k_hi-1 of 289, with h = m/2 and
     # with h = 101.  A sum over part of the window can cancel, so the bound
     # scales with the sum of |terms|
-    for h in (None, 101):
+    for h in (144, 101):
         grid = _shifted_grid(SP, shift, k_lo=k_lo, k_hi=k_hi, h=h)
         rows = _char_rows(SP, grid, 2)
         out = _invert_rows(rows, grid)
@@ -511,9 +512,10 @@ def test_spectral_tables_match_full_row_inversion(params, order):
     terms = _char_terms(params, _half_xi(grid), order >= 1)
     f, g, parts = terms
     assert f.shape == (q,) and (g is None if order == 0 else g.shape == (7, q))
-    # per side: log w, w^beta and w^beta - lambda^beta, from order 1 on w^(beta-1)
+    # per side: log w and w^beta - lambda^beta, from order 1 on w^(beta-1)
+    # and h_1, h_2 of beta log(w/lambda)
     sides = [v for d in parts.values() for v in d.values() if isinstance(v, np.ndarray)]
-    assert len(sides) == (8 if order >= 1 else 6) and all(v.shape == (q,) for v in sides)
+    assert len(sides) == (10 if order >= 1 else 4) and all(v.shape == (q,) for v in sides)
     x_t, vals_t = spectral_tables(params, grid, order, terms=terms)
     assert np.array_equal(x_t, x) and np.array_equal(vals_t, vals)
 
@@ -676,7 +678,7 @@ def test_gates_fail_non_finite_values(gate, monkeypatch):
 
 def test_normal_density_round_trip():
     # Feed the engine an exact Gaussian transform; recover the pdf on [-6, 6].
-    grid = FourierGrid(a=40.0, n=150, span=16.0, center=0.0)
+    grid = FourierGrid(a=40.0, n=150, span=16.0, center=0.0, h=900)
     m = grid.m
     xi = (np.arange(m + 1) - m / 2.0) * grid.beta_step
     mean = 0.3
@@ -689,7 +691,7 @@ def test_normal_density_round_trip():
 
 
 def test_cumulative_normal():
-    grid = FourierGrid(a=40.0, n=150, span=16.0, center=0.0)
+    grid = FourierGrid(a=40.0, n=150, span=16.0, center=0.0, h=900)
     m = grid.m
     xi = (np.arange(m + 1) - m / 2.0) * grid.beta_step
     f = _invert_rows(np.exp(-0.5 * xi * xi)[None, :], grid)[0]
