@@ -239,11 +239,11 @@ def cmd_stats(cfg: RunConfig) -> int:
         ("maximum", st.maximum, None),
     ]
     names, emps, ths = zip(*rows)
-    header, template, cols = "stat,empirical", "%s,%.17g", [names, emps]
+    header, cols = "stat,empirical", [names, emps]
     if theo:
-        header, template = header + ",theoretical", template + ",%s"
+        header += ",theoretical"
         cols.append(["" if th is None else f"{th:.17g}" for th in ths])
-    data.write_csv(outdir / "stats.csv", header, template, cols)
+    data.write_csv(outdir / "stats.csv", header, cols)
     width = 12
     print(f"{'stat':<10}{'empirical':>{width}}" + (f"{'theoretical':>{width}}" if theo else ""))
     for name, emp, th in rows:
@@ -327,7 +327,7 @@ def cmd_vol(cfg: RunConfig) -> int:
         jobs = ((f"vol_window{int(cfg.window)}.csv", int(cfg.window)),)
     for fname, w in jobs:
         dates, vols = data.realized_vol(rets, w)
-        data.write_value_csv(dates, vols, outdir / fname)
+        data.write_csv(outdir / fname, "date,value", [[d.isoformat() for d in dates], vols])
         print(f"{fname}: {len(vols)} rows (window {w})")
     return EXIT_OK
 
@@ -336,7 +336,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     sample = sample_inverse_cdf(params, cfg.synth_n, cfg.seed, cfg.grid_m)
     outdir = _outdir(cfg)
-    data.write_csv(outdir / "synth.csv", "value", "%.17g", [sample])
+    data.write_csv(outdir / "synth.csv", "value", [sample])
     print(f"wrote {sample.size} draws (seed {cfg.seed})")
     return EXIT_OK
 

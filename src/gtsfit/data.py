@@ -1,8 +1,9 @@
 """Price series ingestion, log returns, realized volatility, sample stats.
 
 :func:`write_csv` and :func:`write_json` are the package's only file
-writers (UTF-8, LF line endings): every artifact is a header, a row
-template and its columns, or one JSON object.
+writers (UTF-8, LF line endings): every artifact is a header and its
+columns, numbers printed as ``%.17g`` and strings as given, or one JSON
+object.
 
 ``%.17g`` cells are printed from numpy blocks, with the same bytes as
 ``'%.17g' % v``.  With X = floor(log10 |v|), D = |v| 10**(16 - X) is
@@ -19,8 +20,8 @@ bound, D outside [1e16, 1e17), v zero, inf or nan) is printed by
 margin is at least 1/4 and every cell is.  Exact ties, such as
 2**50 + 0.25, always fall back, so their rounding is ``%``'s half to even.
 
-Every field of a block of rows is a fixed-width slot of bytes per row, NUL
-in the bytes it leaves unwritten; the text of the block is its nonzero bytes.
+Every cell and separator of a block is a fixed-width slot of bytes per row,
+NUL in the bytes it leaves unwritten; the block's text is its nonzero bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import csv
 import datetime as dt
 import json
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -101,7 +101,7 @@ def load_price_csv(path, columns: Optional[ColumnSpec] = None) -> PriceSeries:
     last occurrence.
     """
     cols = columns or ColumnSpec()
-    rows = []
+    by_date: dict = {}
     dropped = 0
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -131,16 +131,11 @@ def load_price_csv(path, columns: Optional[ColumnSpec] = None) -> PriceSeries:
             if not math.isfinite(price) or price <= 0.0:
                 dropped += 1
                 continue
-            rows.append((when, price))
-    if not rows:
+            by_date[when] = price  # a repeated date keeps its last usable row
+    if not by_date:
         raise EmptyDataError(f"{path}: no usable rows after cleaning")
-    rows.sort(key=lambda r: r[0])  # stable: ties keep file order
-    dedup: dict = {}
-    for when, price in rows:
-        dedup[when] = price  # duplicate dates keep the last occurrence
-    dates = tuple(sorted(dedup))
-    prices = np.array([dedup[d] for d in dates])
-    return PriceSeries(dates=dates, prices=prices, dropped=dropped)
+    dates, prices = zip(*sorted(by_date.items()))
+    return PriceSeries(dates=dates, prices=np.array(prices), dropped=dropped)
 
 
 def log_returns(series: PriceSeries) -> ReturnSeries:
@@ -302,24 +297,23 @@ def _g17_slots(v: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _block_text(segments, block) -> np.ndarray:
-    # one block of rows: each literal and field becomes a NUL-padded slot of
+def _block_text(block) -> np.ndarray:
+    # one block of rows: each cell and separator becomes a NUL-padded slot of
     # bytes per row, and the nonzero bytes of all slots, row by row, are the
     # text; a boolean mask, unlike np.compress, builds no 8-byte index per
     # kept byte
     rows = len(block[0])
-    fields = iter(block)
+    comma, newline = (np.broadcast_to(np.uint8(ord(c)), (rows, 1)) for c in ",\n")
     slots = []
-    for text, spec in segments:
-        if spec is None:
-            lit = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-            slots.append(np.broadcast_to(lit, (rows, lit.size)))
-            continue
-        vals = next(fields)
-        if spec == "%.17g" and vals.dtype.kind in "biuf":
-            slots.append(_g17_slots(vals.astype(np.float64)))
+    for vals in block:
+        if vals.dtype.kind == "U":
+            # NUL-padded UCS-4 code points; ASCII ones are already the bytes
+            code = np.ascontiguousarray(vals).view(np.uint32).reshape(rows, -1)
+            slots.append(code.astype(np.uint8) if code.max(initial=0) < 128 else _text_slots(vals.tolist()))
         else:
-            slots.append(_text_slots([spec % t for t in vals.tolist()]))
+            slots.append(_g17_slots(vals.astype(np.float64)))
+        slots.append(comma)
+    slots[-1] = newline
     # concatenate would lay the block out like its mostly transposed %.17g
     # slots; the mask selects fastest from a row-major copy
     width = sum(slot.shape[1] for slot in slots)
@@ -327,31 +321,31 @@ def _block_text(segments, block) -> np.ndarray:
     return buf[buf != 0]
 
 
-def write_csv(path, header: str, row_template: str, cols) -> None:
-    """CSV of ``header`` and one ``row_template % row`` line per row.
+def write_csv(path, header: str, cols) -> None:
+    """CSV of ``header`` and one row per index of the columns ``cols``.
 
-    ``cols`` holds one equal-length sequence per field of the template:
-    numbers, or strings such as dates and blank cells.  Rows are formatted
-    and written in blocks of ``_CSV_BLOCK_ROWS``, so the file is never built
-    in memory.  A ``%.17g`` field of a numeric column is printed by
-    :func:`_g17_slots`; every other field is ``spec % value``.  The bytes
-    equal ``row_template % row`` for every row.  No text field may contain
-    NUL, the byte that marks unwritten slot bytes: the callers' fields are
-    ISO dates, fixed names, blanks and ``%``-formatted numbers.
+    ``cols`` holds one equal-length sequence per field of ``header``.  A
+    column of integers or floats is written cell by cell as ``'%.17g' % v``
+    (by :func:`_g17_slots`); a column of strings, such as dates, names, blank
+    cells and numbers the caller formatted, is written as given; any other
+    column is a ``TypeError`` that names it.  Cells are joined by ``,`` and
+    every row ends in a newline.  Rows are formatted and written in blocks of
+    ``_CSV_BLOCK_ROWS``, so the file is never built in memory.  No string may
+    contain NUL, the byte that marks unwritten slot bytes.
     """
-    pieces = re.split(r"(%%|%[^a-zA-Z%]*[a-zA-Z])", row_template + "\n")
-    segments = [  # (literal text, None) or (None, field spec)
-        (None, p) if i % 2 and p != "%%" else (p.replace("%%", "%"), None)
-        for i, p in enumerate(pieces)
-        if p
-    ]
-    if len(cols) != sum(spec is not None for _, spec in segments):
-        raise TypeError(f"{row_template!r} needs one column per field, got {len(cols)}")
+    names = header.split(",")
+    if len(cols) != len(names):
+        raise TypeError(f"header {header!r} needs one column per field, got {len(cols)}")
+    cols = [np.asarray(c) for c in cols]
+    for name, c in zip(names, cols):
+        if c.dtype.kind not in "iufU":
+            raise TypeError(f"column {name!r} holds {c.dtype} values, not numbers or strings")
+    if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+        raise ValueError(f"columns of {header!r} must be one-dimensional and of equal length")
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode("utf-8"))
-        for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-            block = [np.asarray(c[lo : lo + _CSV_BLOCK_ROWS]) for c in cols]
-            fh.write(_block_text(segments, block))
+        for lo in range(0, cols[0].size, _CSV_BLOCK_ROWS):
+            fh.write(_block_text([c[lo : lo + _CSV_BLOCK_ROWS] for c in cols]))
 
 
 def write_json(path, obj) -> None:
@@ -359,8 +353,3 @@ def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_value_csv(dates, values, path) -> None:
-    """Two-column ``date,value`` CSV, ISO dates, 17 significant digits."""
-    write_csv(path, "date,value", "%s,%.17g", [[d.isoformat() for d in dates], values])

@@ -129,7 +129,7 @@ def write_trace_csv(trace: FitTrace, path) -> None:
     rows = trace.rows
     vals = [(*r.params.to_vector(), r.log_ml, r.grad_norm, r.max_eigenvalue) for r in rows]
     cols = [[r.iteration for r in rows], *zip(*vals)]
-    write_csv(path, _TRACE_HEADER, "%d" + ",%.17g" * 10, cols)
+    write_csv(path, _TRACE_HEADER, cols)
 
 
 def _scatter4(x: np.ndarray, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:

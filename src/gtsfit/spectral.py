@@ -611,16 +611,10 @@ def write_density_csv(table: DensityTable, path, extra=None) -> None:
     column (the CLI's ``normal`` reference density).
     """
     cols = [table.x, table.f, table.F]
-    cells = ["%.17g"] * 3
-    if table.df is not None:
-        cols.extend(table.df)
-        cells += ["%.17g"] * 7
-    else:
-        cells += [""] * 7
+    cols.extend(table.df if table.df is not None else [np.full(table.x.size, "")] * 7)
     header = _CSV_HEADER
     if extra is not None:
         name, values = extra
         cols.append(values)
-        cells.append("%.17g")
         header += "," + name
-    write_csv(path, header, ",".join(cells), cols)
+    write_csv(path, header, cols)

@@ -80,6 +80,25 @@ def test_stats_without_params(returns_csv, tmp_path):
     assert header == "stat,empirical"
 
 
+@pytest.mark.parametrize("with_params", [False, True])
+def test_stats_csv_bytes_match_the_row_template(with_params, returns_csv, sp_json, tmp_path):
+    # stats.csv is "%s,%.17g" % row, plus ",%s" of the formatted theoretical
+    # value (blank where the model has none) when --params is given
+    out = tmp_path / "o1"
+    args = ["stats", "--input", str(returns_csv), "--out", str(out)]
+    assert main(args + (["--params", str(sp_json)] if with_params else [])) == EXIT_OK
+    st = data.summary_stats(data.log_returns(data.load_price_csv(returns_csv)).values)
+    theo = moment_stats(SP_PARAMS)
+    names = ("n", "mean", "std_dev", "cv", "skewness", "kurtosis", "minimum", "maximum")
+    emps = [float(st.n)] + [getattr(st, name) for name in names[1:]]
+    if with_params:
+        ths = [""] + ["%.17g" % getattr(theo, name) for name in names[1:6]] + ["", ""]
+        want = "stat,empirical,theoretical\n" + "".join("%s,%.17g,%s\n" % row for row in zip(names, emps, ths))
+    else:
+        want = "stat,empirical\n" + "".join("%s,%.17g\n" % row for row in zip(names, emps))
+    assert (out / "stats.csv").read_bytes() == want.encode("utf-8")
+
+
 def test_pdf_runs(sp_json, tmp_path, capsys):
     out = tmp_path / "o3"
     code = main(["pdf", "--params", str(sp_json), "--out", str(out)])
@@ -163,8 +182,21 @@ def test_risk_runs_one_contour_per_tail(sp_json, tmp_path, contour_calls):
     assert main(["risk", "--params", str(sp_json), "--levels", "0.1,0.001,0.05", "--out", str(out)]) == EXIT_OK
     assert len(contour_calls) == 2
     rows = [line.split(",")[:2] for line in (out / "risk.csv").read_text(encoding="utf-8").splitlines()[1:]]
-    want = [[side, f"{lv:.4f}"] for a in (0.1, 0.001, 0.05) for side, lv in (("LowerTail", a), ("UpperTail", 1.0 - a))]
+    want = [[side, "%.10g" % lv] for a in (0.1, 0.001, 0.05) for side, lv in (("LowerTail", a), ("UpperTail", 1.0 - a))]
     assert rows == want
+
+
+def test_risk_csv_tells_tiny_levels_apart(sp_json, tmp_path):
+    # --levels accepts tail levels down to 1e-9; each row's level reads back
+    # within 1e-9, so no two rows of the ladder print alike
+    out = tmp_path / "o5"
+    alphas = (1e-9, 1e-5, 4e-5)
+    assert main(["risk", "--params", str(sp_json), "--levels", ",".join(map(str, alphas)), "--out", str(out)]) == EXIT_OK
+    lines = (out / "risk.csv").read_text(encoding="utf-8").splitlines()[1:]
+    levels = [float(line.split(",")[1]) for line in lines]
+    want = [lv for a in alphas for lv in (a, 1.0 - a)]
+    assert len(levels) == len(want) and all(abs(g - w) <= 1e-9 for g, w in zip(levels, want)), levels
+    assert len(set(levels)) == len(set(lines)) == len(lines)
 
 
 def test_fit_max_iter_exit(returns_csv, sp_json, tmp_path, capsys):
@@ -197,6 +229,17 @@ def test_vol_windows(returns_csv, tmp_path):
     assert code == EXIT_OK
     rows = (out2 / "vol_window10.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 1 + 599 - 10
+
+
+def test_vol_csv_bytes_match_the_row_template(returns_csv, tmp_path):
+    # each vol file is "%s,%.17g" % (ISO date, volatility) per window end
+    out = tmp_path / "o7"
+    assert main(["vol", "--input", str(returns_csv), "--out", str(out)]) == EXIT_OK
+    rets = data.log_returns(data.load_price_csv(returns_csv))
+    for fname, window in (("vol_monthly.csv", 21), ("vol_yearly.csv", 252)):
+        dates, vols = data.realized_vol(rets, window)
+        want = "date,value\n" + "".join("%s,%.17g\n" % (d.isoformat(), v) for d, v in zip(dates, vols.tolist()))
+        assert (out / fname).read_bytes() == want.encode("utf-8"), fname
 
 
 def test_json_inputs_skip_byte_order_mark(sp_json, tmp_path, capsys):

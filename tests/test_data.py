@@ -24,7 +24,6 @@ from gtsfit.data import (
     realized_vol,
     summary_stats,
     write_csv,
-    write_value_csv,
 )
 
 
@@ -296,17 +295,6 @@ def test_summary_stats_minimum_size():
         summary_stats([1.0, 2.0, 3.0])
 
 
-def test_write_value_csv(tmp_path):
-    import datetime
-
-    path = tmp_path / "vol.csv"
-    dates = (datetime.date(2024, 2, 1), datetime.date(2024, 2, 2))
-    write_value_csv(dates, (1.25, 2.5), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "date,value"
-    assert lines[1] == "2024-02-01,1.25"
-
-
 # --- the %.17g writer ------------------------------------------------------
 
 
@@ -319,14 +307,14 @@ def g17_margin(request, monkeypatch):
     return request.param
 
 
-def _written(path, header, template, cols):
-    write_csv(path, header, template, cols)
+def _written(path, header, cols):
+    write_csv(path, header, cols)
     return path.read_bytes()
 
 
 def _assert_g17(tmp_path, values):
     values = np.asarray(values, dtype=np.float64)
-    got = _written(tmp_path / "g.csv", "v", "%.17g", [values]).decode("ascii").split("\n")
+    got = _written(tmp_path / "g.csv", "v", [values]).decode("ascii").split("\n")
     want = ["v", *("%.17g" % v for v in values.tolist()), ""]
     bad = [(g, w) for g, w in zip(got, want) if g != w]
     assert len(got) == len(want) and not bad, bad[:5]
@@ -387,36 +375,45 @@ def test_g17_power_table_correctly_rounded():
 
 def test_g17_table_built_only_for_g17_fields(tmp_path):
     data._pow10_table.cache_clear()
-    write_csv(tmp_path / "a.csv", "a,b", "%s,%.4f", [["x", "y"], [1.0, 2.0]])
+    write_csv(tmp_path / "a.csv", "a,b", [["x", "y"], ["1.0000", "2.0000"]])
     assert data._pow10_table.cache_info().currsize == 0
 
 
-def test_write_csv_mixed_template(tmp_path, g17_margin):
-    # every kind of field over several blocks, against one row_template % row
-    # per row: %d, %s (ASCII and not), %.4f, %.17g of floats and of ints,
-    # blank fields, a literal percent, nan and inf cells
+def test_write_csv_typed_columns(tmp_path, g17_margin):
+    # every kind of column over several blocks, against one ",".join of the
+    # cells per row: integers and floats as '%.17g' % v (nan, +-inf, +-0
+    # among them), ASCII, non-ASCII and blank strings as given, and a strided
+    # big-endian string array
     n = 2 * _CSV_BLOCK_ROWS + 37
     rng = np.random.default_rng(7)
     f = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-    f[::97], f[5::101], f[7::103] = math.nan, math.inf, -math.inf
-    g = rng.standard_normal(n)
-    g[3::89] = 0.0
+    f[::97], f[5::101], f[7::103], f[11::107], f[13::109] = math.nan, math.inf, -math.inf, 0.0, -0.0
     cols = [
         np.arange(n) - 5,
         [f"s{i}" if i % 3 else "é" for i in range(n)],
-        rng.standard_normal(n) * 100.0,
         f,
-        ["" if i % 4 else f"{x:.17g}" for i, x in enumerate(g)],
-        rng.integers(-(10**6), 10**6, n),
-        g,
+        [""] * n,
+        ["" if i % 4 else "%.4f" % x for i, x in enumerate(rng.standard_normal(n))],
+        rng.integers(-(10**6), 10**6, n).tolist(),
+        tuple(rng.standard_normal(n)),
+        np.array([f"t{i % 7}" * (i % 3) for i in range(2 * n)], dtype=">U4")[::2],
     ]
-    template = "%d,%s,%.4f,%.17g,,%s,%.17g,100%%,%.17g"
-    want = "h\n" + "".join(template % row + "\n" for row in zip(*[np.asarray(c).tolist() for c in cols]))
-    assert _written(tmp_path / "m.csv", "h", template, cols) == want.encode("utf-8")
+    rows = zip(*[np.asarray(c).tolist() for c in cols])
+    want = "a,b,c,d,e,f,g,h\n" + "".join(
+        ",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n" for row in rows
+    )
+    assert _written(tmp_path / "m.csv", "a,b,c,d,e,f,g,h", cols) == want.encode("utf-8")
 
 
 def test_write_csv_rejects_column_count(tmp_path):
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "c.csv", "a,b", "%s,%.17g", [["x"]])
+        write_csv(tmp_path / "c.csv", "a,b", [["x"]])
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "c.csv", "a", "%.17g", [[1.0], [2.0]])
+        write_csv(tmp_path / "c.csv", "a", [[1.0], [2.0]])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "c.csv", "a,b", [[1.0], [2.0, 3.0]])
+
+
+def test_write_csv_rejects_a_column_of_none(tmp_path):
+    with pytest.raises(TypeError, match="column 'b'"):
+        write_csv(tmp_path / "c.csv", "a,b", [[1.0, 2.0], [3.0, None]])

@@ -358,8 +358,9 @@ def test_fit_rejects_bad_init(small_sample):
 
 
 def test_trace_csv_bytes_match_cell_formatting(tmp_path):
-    # the shared CSV writer against the per-cell f-string format, on the
-    # float values whose spelling is easiest to get wrong
+    # the shared CSV writer against the per-cell f-string format and the row
+    # template "%d" + ",%.17g" * 10, on the float values whose spelling is
+    # easiest to get wrong
     odd = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, -1e308)
     rows = [
         TraceRow(1, GtsParams(*odd), -0.0, 5e-324, float("nan"), 3),
@@ -373,5 +374,7 @@ def test_trace_csv_bytes_match_cell_formatting(tmp_path):
     )
     for r in rows:
         vals = list(r.params.to_vector()) + [r.log_ml, r.grad_norm, r.max_eigenvalue]
-        want += str(r.iteration) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n"
+        line = str(r.iteration) + "," + ",".join(f"{v:.17g}" for v in vals)
+        assert line == ("%d" + ",%.17g" * 10) % (r.iteration, *vals)
+        want += line + "\n"
     assert path.read_bytes() == want.encode("utf-8")

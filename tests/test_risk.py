@@ -649,6 +649,6 @@ def test_risk_csv_layout(tmp_path):
     assert lines[0] == (
         "side,level,empirical_var,theoretical_var,empirical_avar,theoretical_avar"
     )
-    assert lines[1].startswith("LowerTail,0.0500,-1.7500,-1.7600,")
+    assert lines[1].startswith("LowerTail,0.05,-1.7500,-1.7600,")
     cells = lines[2].split(",")
     assert cells[2] == "" and cells[4] == ""
