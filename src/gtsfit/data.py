@@ -307,9 +307,7 @@ def _block_text(block) -> np.ndarray:
     slots = []
     for vals in block:
         if vals.dtype.kind == "U":
-            # NUL-padded UCS-4 code points; ASCII ones are already the bytes
-            code = np.ascontiguousarray(vals).view(np.uint32).reshape(rows, -1)
-            slots.append(code.astype(np.uint8) if code.max(initial=0) < 128 else _text_slots(vals.tolist()))
+            slots.append(_text_slots(vals.tolist()))
         else:
             slots.append(_g17_slots(vals.astype(np.float64)))
         slots.append(comma)
@@ -324,14 +322,17 @@ def _block_text(block) -> np.ndarray:
 def write_csv(path, header: str, cols) -> None:
     """CSV of ``header`` and one row per index of the columns ``cols``.
 
-    ``cols`` holds one equal-length sequence per field of ``header``.  A
-    column of integers or floats is written cell by cell as ``'%.17g' % v``
-    (by :func:`_g17_slots`); a column of strings, such as dates, names, blank
-    cells and numbers the caller formatted, is written as given; any other
-    column is a ``TypeError`` that names it.  Cells are joined by ``,`` and
-    every row ends in a newline.  Rows are formatted and written in blocks of
-    ``_CSV_BLOCK_ROWS``, so the file is never built in memory.  No string may
-    contain NUL, the byte that marks unwritten slot bytes.
+    ``cols`` holds one equal-length sequence per field of ``header``, and
+    each column is typed by the array ``np.asarray`` builds from it.  An
+    integer or float array is written cell by cell as ``'%.17g' % v`` (by
+    :func:`_g17_slots`); a string array, such as dates, names, blank cells
+    and numbers the caller formatted, is written as given, and so is a list
+    that numpy reads as strings, such as ``["x", 0.1]``; any other array
+    (booleans, objects such as ``None``) is a ``TypeError`` that names the
+    column.  Cells are joined by ``,`` and every row ends in a newline.
+    Rows are formatted and written in blocks of ``_CSV_BLOCK_ROWS``, so the
+    file is never built in memory.  No string may contain NUL, the byte
+    that marks unwritten slot bytes.
     """
     names = header.split(",")
     if len(cols) != len(names):
