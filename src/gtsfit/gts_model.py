@@ -305,8 +305,12 @@ def _side_hess(d) -> np.ndarray:
     # beta derivative brings in h_1 and h_2
     ell = logw - llam
     c, x = llam - psi0, b * ell
-    out[2, 0] = out[0, 2] = a * g * b * ((wbm1 * logw - lbm1 * llam) - psi0 * (wbm1 - lbm1))
     out[0, 0] = a * g * ((c * c + psi1) * diff + d["Pl"] * x * ell * (2.0 * c * d["h1"] + ell * d["h2"]))
+    # (lambda, beta) is _beta_bracket's form at the exponent e = beta - 1, with
+    # psi(1 - beta) = psi(2 - beta) + 1/e, so nothing cancels near beta = 1
+    e = b - 1.0
+    em1 = np.expm1(e * ell)
+    out[2, 0] = out[0, 2] = a * g * b * lbm1 * ((llam - digamma_fn(2.0 - b)) * em1 + e * ell * ell * _h(e * ell, em1)[0])
     return out
 
 

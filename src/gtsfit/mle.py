@@ -334,10 +334,10 @@ def sample_inverse_cdf(params: GtsParams, n: int, seed: int, grid_m: int = DEFAU
     """Seeded synthetic sample by inverse-CDF transform of uniform draws.
 
     The n uniform levels come from one ``default_rng(seed)`` call.  They are
-    inverted by the cubic solve behind :func:`~gtsfit.risk.var`,
-    :func:`~gtsfit.risk._quantile_clamped`, a block of ``_SAMPLE_BLOCK``
-    levels at a time, each block of draws overwriting its levels, so the
-    solver's workspace stays O(block) beside the output.
+    inverted by :func:`~gtsfit.risk._quantile_clamped`, the cubic solve
+    :func:`~gtsfit.risk._cubic_roots` behind :func:`~gtsfit.risk.var`, a block
+    of ``_SAMPLE_BLOCK`` levels at a time, each block of draws overwriting its
+    levels, so the solver's workspace stays O(block) beside the output.
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")

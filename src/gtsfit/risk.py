@@ -1,9 +1,10 @@
 """Tail risk measures: VaR by quantile inversion, AVaR by contour integration.
 
 Quantiles are signed (losses are negative returns), so the lower tail holds
-the loss quantiles.  VaR solves the cubic coefficients that
-:func:`~gtsfit.spectral.cdf_at` evaluates, so it is that function's exact
-inverse; the sampler runs the same solve on whole arrays of levels.  AVaR adds
+the loss quantiles.  VaR solves the cubic that :func:`~gtsfit.spectral.cdf_at`
+evaluates on the level's cell by Newton steps bracketed with bisection
+(``_cubic_roots``), so it is that function's exact inverse; the sampler runs
+the same solve on whole arrays of levels.  AVaR adds
 the expected shortfall beyond VaR, evaluated as a Fourier integral of the
 characteristic function along a contour shifted off the real axis by a fixed
 offset: 0.45 lambda of the relevant tail's tempering rate.  By Cauchy's
@@ -57,10 +58,6 @@ class PayoffSide(enum.Enum):
 
 class EmptySampleError(ValueError):
     pass
-
-
-class NoBracketError(NumericError, ValueError):
-    """Polynomial has no sign change on [0, 1]."""
 
 
 class BracketEdgeError(NumericError, ValueError):
@@ -132,72 +129,48 @@ def empirical_avar(sample, alpha: float, side: TailSide) -> float:
     return float(-mean if side is TailSide.UPPER_TAIL else mean)
 
 
-def _poly4(b, y):
-    return b[0] + y * (b[1] + y * (b[2] + y * (b[3] + y * b[4])))
+def _cubic_roots(c: np.ndarray):
+    """Roots on [0, 1] of the cubics whose coefficients are the rows of ``c``.
 
-
-def _quartic_roots(b: np.ndarray):
-    """Roots on [0, 1] of the quartics whose coefficients are the rows of ``b``.
-
-    ``b`` has shape (5, n), lowest degree first.  Returns ``(y, bracketed)``:
-    ``y`` holds the roots and is NaN where ``bracketed`` is False, that is
-    where the endpoint values agree in sign.  Every element runs the same
-    Newton iteration bracketed with bisection, seeded at the linear estimate
-    -b0/b1; an element leaves the loop once its residual is below
-    1e-12 * max|b_i|, so the result does not depend on its neighbours.
+    ``c`` has shape (4, n), lowest degree first: a cell's F_i - u followed by
+    ``spectral._cubic_diffs``.  Returns ``(y, bracketed)``, ``y`` NaN where
+    the endpoint values agree in sign.  Each element runs Newton steps
+    bracketed with bisection from the linear estimate -c0/c1 and is frozen
+    once its residual is below 1e-12 * max|c_j|, so no root depends on its
+    neighbours.
     """
-    tol = 1e-12 * np.maximum(np.abs(b).max(axis=0), 1e-300)
-    v0 = b[0]
-    v1 = _poly4(b, 1.0)
+
+    def poly(y):
+        return c[0] + y * (c[1] + y * (c[2] + y * c[3]))
+
+    tol = 1e-12 * np.maximum(np.abs(c).max(axis=0), 1e-300)
+    v0, v1 = c[0], poly(1.0)
     at0 = np.abs(v0) <= tol
     at1 = ~at0 & (np.abs(v1) <= tol)
     bracketed = at0 | at1 | ~(v0 * v1 > 0.0)
-    y_out = np.full(v0.shape, np.nan)
-    y_out[at0] = 0.0
-    y_out[at1] = 1.0
-    act = np.flatnonzero(bracketed & ~at0 & ~at1)
-    c, tol, neg0 = b[:, act], tol[act], v0[act] < 0.0
-    lo, hi = np.zeros(act.size), np.ones(act.size)
-    # min(max(-b0/b1, 0), 1) with Python's min/max tie rules, 0.5 when b1 = 0
-    has_b1 = c[1] != 0.0
-    y = -c[0] / np.where(has_b1, c[1], 1.0)
+    live = bracketed & ~at0 & ~at1
+    lo, hi = np.zeros(v0.shape), np.ones(v0.shape)
+    # min(max(-c0/c1, 0), 1) with Python's min/max tie rules, 0.5 when c1 = 0
+    has_c1 = c[1] != 0.0
+    y = -c[0] / np.where(has_c1, c[1], 1.0)
     y = np.where(0.0 > y, 0.0, y)
     y = np.where(y > 1.0, 1.0, y)
-    y = np.where(has_b1, y, 0.5)
+    y = np.where(has_c1, y, 0.5)
+    y = np.where(at0, 0.0, np.where(at1, 1.0, y))
     for _ in range(100):
-        py = _poly4(c, y)
-        done = np.abs(py) <= tol
-        if done.any():
-            y_out[act[done]] = y[done]
-            keep = ~done
-            act, c, tol, neg0 = act[keep], c[:, keep], tol[keep], neg0[keep]
-            y, py, lo, hi = y[keep], py[keep], lo[keep], hi[keep]
-            if act.size == 0:
-                break
-        same = (py < 0.0) == neg0
-        lo = np.where(same, y, lo)
-        hi = np.where(same, hi, y)
-        dp = c[1] + y * (2.0 * c[2] + y * (3.0 * c[3] + y * 4.0 * c[4]))
+        py = poly(y)
+        live &= ~(np.abs(py) <= tol)
+        if not live.any():
+            break
+        same = (py < 0.0) == (v0 < 0.0)
+        lo = np.where(live & same, y, lo)
+        hi = np.where(live & ~same, y, hi)
+        dp = c[1] + y * (2.0 * c[2] + y * (3.0 * c[3]))
         mid = 0.5 * (lo + hi)
-        has_dp = dp != 0.0
+        has_dp = live & (dp != 0.0)
         yn = np.where(has_dp, y - py / np.where(has_dp, dp, 1.0), mid)
-        y = np.where((lo < yn) & (yn < hi), yn, mid)
-    y_out[act] = y
-    return y_out, bracketed
-
-
-def quartic_root_unit(b0: float, b1: float, b2: float, b3: float, b4: float) -> float:
-    """Root of b0 + b1 y + b2 y^2 + b3 y^3 + b4 y^4 on [0, 1].
-
-    Requires a sign change between the endpoints; solved by Newton iteration
-    bracketed with bisection, seeded at the linear estimate -b0/b1.  The
-    residual at the returned root is below 1e-12 * max|b_i|.  The scalar
-    entry to the same loop the sampler runs on whole arrays.
-    """
-    y, bracketed = _quartic_roots(np.array([[b0], [b1], [b2], [b3], [b4]], dtype=float))
-    if not bracketed[0]:
-        raise NoBracketError("no sign change of the quartic on [0, 1]")
-    return float(y[0])
+        y = np.where(live, np.where((lo < yn) & (yn < hi), yn, mid), y)
+    return np.where(bracketed, y, np.nan), bracketed
 
 
 def var(table: DensityTable, alpha: float) -> float:
@@ -233,17 +206,21 @@ def _quantiles(table: DensityTable, levels: list) -> np.ndarray:
     i = np.searchsorted(table.F, u, side="left") - 1
     if (edge := (i < 2) | (i > m - 4)).any():
         raise BracketEdgeError(f"quantile bracket {i[edge][0]} at table edge (m={m})")
-    return _quantile_clamped(table, u)
+    return _cell_quantiles(table, u, i)
 
 
 def _quantile_clamped(table: DensityTable, u: np.ndarray) -> np.ndarray:
-    # var's cubic solved on whole arrays of levels (b4 = 0).  The bracket
-    # F_i < u <= F_{i+1} is clamped into the stencil's cells 1 <= i <= m - 3
-    # instead of raising, and a level the clamped cell cannot bracket takes the
-    # cell's nearer node, so every draw lies on the table.
+    # var's solve on whole arrays of levels.  The bracket F_i < u <= F_{i+1}
+    # is clamped into the stencil's cells 1 <= i <= m - 3 instead of raising
+    i = np.clip(np.searchsorted(table.F, u, side="left") - 1, 1, table.F.size - 3)
+    return _cell_quantiles(table, u, i)
+
+
+def _cell_quantiles(table: DensityTable, u: np.ndarray, i: np.ndarray) -> np.ndarray:
+    # the root of cdf_at's cubic on cell i at level u; a level the cell cannot
+    # bracket takes the cell's nearer node, so every draw lies on the table
     big_f = table.F
-    i = np.clip(np.searchsorted(big_f, u, side="left") - 1, 1, big_f.size - 3)
-    y, bracketed = _quartic_roots(np.stack((big_f[i] - u, *_cubic_diffs(big_f, i), np.zeros(i.shape))))
+    y, bracketed = _cubic_roots(np.stack((big_f[i] - u, *_cubic_diffs(big_f, i))))
     y = np.where(bracketed, y, u > big_f[i])
     return table.x[i] + y * (table.x[i + 1] - table.x[i])
 

@@ -88,7 +88,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .data import write_csv
-from .gts_model import GtsParams, _char_terms, _psi_hess, char_fn, cumulants
+from .gts_model import GtsParams, _char_terms, _exponent, _psi_hess, _side_parts, char_fn, cumulants
 from .special_linalg import NumericError
 
 _TAIL_TOL = 1e-12
@@ -96,6 +96,7 @@ _IMG_TOL = 1e-11
 _MASS_TOL = 1e-4
 _WINDOW_TOL = 1e-9
 _CDF_TOL = 1e-10  # the 4-point cubic's error on the CDF, bounded a priori
+_DENSITY_TOL = 1e-10  # the most negative density, and the exponent's rounding on f
 _NODE_CAP = 2**21  # 5x the largest regular grid (BTC, refine 2, coverage 80)
 # the trapezoid period over the distance the images must clear: the SP and
 # BTC order-1 tables are 5e-13 and 2e-15 off a sum on 3x the nodes at 1.25,
@@ -357,8 +358,12 @@ def choose_grid(
     max|(t+1) t (t-1) (t-2)|/4! gamma^4 = 9/384 gamma^4 times the CDF's
     largest fourth derivative, which M3 = (1/2 pi) int |xi|^3 |F| dxi bounds;
     M3 takes the image bound's 4097 samples of |F|.  ``refine`` multiplies
-    the final panel count and h.  A grid of more than 2**21 output nodes
-    raises :class:`GridError` before anything of that size is built.
+    the final panel count and h.  More than 2**21 output or frequency nodes
+    raise :class:`GridError` before anything of that size is built, and so
+    does an exponent whose rounding, against |F| on the 4097 samples, moves
+    the density by over 1e-10: each side's alpha Gamma(-beta) (w^beta -
+    lambda^beta) carries |w^beta - lambda^beta| + beta |w|^beta (|log w| +
+    |log lambda|) units of rounding, and Gamma(-beta) ~ 1/(beta - 1) near 1.
     """
     params.validate()
     if m_target < 12:
@@ -382,7 +387,17 @@ def choose_grid(
         a *= 2.0
 
     xi_c = np.linspace(-a / 2.0, a / 2.0, 4097)
-    abs_f = np.abs(char_fn(params, xi_c))
+    sides = _side_parts(params, -xi_c)
+    abs_f = np.abs(np.exp(_exponent(params, -xi_c, sides)))
+    ulps = sum(
+        abs(d["a"] * d["g"]) * (np.abs(d["diff"]) + d["b"] * np.exp(d["b"] * d["logw"].real) * (np.abs(d["logw"]) + abs(d["llam"])))
+        for d in sides.values()
+    )
+    f_round = np.finfo(float).eps * float(np.trapezoid(ulps * abs_f, xi_c)) / (2.0 * math.pi)
+    if f_round > _DENSITY_TOL:
+        raise GridError(
+            f"rounding of the characteristic exponent moves the density by up to {f_round:.3e}, bound {_DENSITY_TOL:g}"
+        )
     big_b = float(np.trapezoid(abs_f, xi_c)) / (2.0 * math.pi)
     m3 = float(np.trapezoid(np.abs(xi_c) ** 3 * abs_f, xi_c)) / (2.0 * math.pi)
 
@@ -392,6 +407,8 @@ def choose_grid(
         raise GridError(f"grid needs m = {12 * n} nodes, above the cap of {_NODE_CAP}")
     need = half + 3.0 / lam_min + abs(center) + max(0.0, math.log(big_b / _IMG_TOL)) / lam_min
     h = math.ceil(_XI_MARGIN * need * a / (4.0 * math.pi)) * refine
+    if h > _NODE_CAP:
+        raise GridError(f"grid needs h = {h} frequency nodes, above the cap of {_NODE_CAP}")
     return FourierGrid(a=a, n=n, span=span, center=center, h=h)
 
 
@@ -531,8 +548,8 @@ def density_table(params: GtsParams, grid: FourierGrid, with_derivatives: bool =
         raise ValueError(f"density_table needs all {grid.m + 1} output nodes, the grid's range is [{lo}, {hi})")
     x_full, vals = spectral_tables(params, grid, order=1 if with_derivatives else 0)
     f_full = vals[0]
-    if not f_full.min() >= -1e-10:
-        raise GridError(f"negative density {f_full.min():.3e} below the bound -1e-10")
+    if not f_full.min() >= -_DENSITY_TOL:
+        raise GridError(f"negative density {f_full.min():.3e} below the bound {-_DENSITY_TOL:g}")
     cdf, total = _cumulative(f_full, grid)
     if not abs(total - 1.0) <= _MASS_TOL:
         raise GridError(f"grid too coarse: recovered mass {total:.9f} outside 1 +- {_MASS_TOL:g}")

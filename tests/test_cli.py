@@ -26,7 +26,7 @@ from gtsfit.cli import (
 from gtsfit.data import DegenerateSampleError, EmptyDataError, ParseError
 from gtsfit.gts_model import BranchCutError, DomainError, GtsParams, load_params, moment_stats, save_params
 from gtsfit.mle import NonFiniteLikelihoodError, SingularHessianError, sample_inverse_cdf
-from gtsfit.risk import BracketEdgeError, ContourError, DivergentContourError, EmptySampleError, NoBracketError
+from gtsfit.risk import BracketEdgeError, ContourError, DivergentContourError, EmptySampleError
 from gtsfit.special_linalg import ConvergenceError, NumericError, PoleError, SingularMatrixError
 from gtsfit.spectral import GridError, SpanError, choose_grid, density_table, write_density_csv
 
@@ -461,7 +461,6 @@ def test_grid_above_node_cap_exit(sp_json, tmp_path):
         (ContourError, RuntimeError),
         (DivergentContourError, RuntimeError),
         (BracketEdgeError, ValueError),
-        (NoBracketError, ValueError),
         (SingularMatrixError, ValueError),
         (ConvergenceError, RuntimeError),
         (PoleError, ValueError),

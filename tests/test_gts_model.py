@@ -171,14 +171,17 @@ def test_exponent_term_near_the_beta_face(beta):
                 assert abs(g - complex(ref)) <= 1e-14 * abs(complex(ref)), (key, x)
 
 
-@pytest.mark.parametrize("beta", [0.68, 0.5, 0.25, 0.1, 0.09, 1e-2, 1e-4, 1e-6, 2e-8])
+@pytest.mark.parametrize("beta", [0.99, 0.9, 0.68, 0.5, 0.25, 0.1, 0.09, 1e-2, 1e-4, 1e-6, 2e-8])
 def test_beta_row_near_the_beta_face(beta):
     # the beta row of dPsi and the (alpha, beta), (beta, beta) and
     # (lambda, beta) entries of each side's Hessian block against 50-digit
     # derivatives of alpha Gamma(-beta) (w^beta - lambda^beta), on both sides;
     # they split psi(-beta) = psi(1 - beta) + 1/beta over the box (the direct
     # (beta, beta) entry was 3.3e-13 off at beta = 0.1, |xi| = 0.3), and at
-    # beta >= 0.09, |xi| = 400 the h_n(beta L) take the recurrence (|beta L| > 1/2)
+    # beta >= 0.09, |xi| = 400 the h_n(beta L) take the recurrence (|beta L| > 1/2).
+    # Near beta = 1 the (lambda, beta) entry splits psi(1 - beta) =
+    # psi(2 - beta) + 1/(beta - 1) instead (the direct bracket was 1.8e-11 off
+    # at beta = 0.99, |xi| = 0.3)
     import mpmath as mp
 
     params = GtsParams(0.1, beta, beta, 0.46, 0.41, 0.82, 0.73)

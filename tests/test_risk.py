@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,27 +18,25 @@ from gtsfit.risk import (
     ContourError,
     DivergentContourError,
     EmptySampleError,
-    NoBracketError,
     PayoffSide,
     RiskReport,
     TailSide,
     _contour,
+    _cubic_roots,
     _quantile_clamped,
-    _quartic_roots,
     avar,
     empirical_avar,
     empirical_var,
     optimize_q,
     prob_interval,
-    quartic_root_unit,
     reconstruction_error,
     tail_payoff_fourier,
     var,
     write_risk_csv,
 )
 from gtsfit.cli import DEFAULT_LEVELS
-from gtsfit.gts_model import GtsParams, save_params
-from gtsfit.spectral import _composite_weights, cdf_at, choose_grid
+from gtsfit.gts_model import BOUND_EPS, GtsParams, save_params
+from gtsfit.spectral import GridError, _composite_weights, cdf_at, choose_grid, density_table
 
 from conftest import CONFIDENCE_LEVELS, TAIL_LEVELS
 
@@ -102,39 +101,45 @@ def test_empirical_empty_raises():
         empirical_avar([], 0.05, TailSide.LOWER_TAIL)
 
 
-# -- quartic solver -----------------------------------------------------------
+# -- cubic solver -------------------------------------------------------------
+
+
+def _cubic_root(c0, c1, c2, c3):
+    y, bracketed = _cubic_roots(np.array([[c0], [c1], [c2], [c3]], dtype=float))
+    return float(y[0]), bool(bracketed[0])
 
 
 @given(
     root=st.floats(0.02, 0.98),
-    b2=st.floats(-0.4, 0.4),
-    b3=st.floats(-0.2, 0.2),
-    b4=st.floats(-0.1, 0.1),
+    c2=st.floats(-0.4, 0.4),
+    c3=st.floats(-0.2, 0.2),
 )
 @settings(max_examples=150)
-def test_quartic_recovers_planted_root(root, b2, b3, b4):
-    # build a quartic with a controlled sign change at the planted root
-    b1 = 1.0  # dominant linear term keeps the bracket clean
-    b0 = -(b1 * root + b2 * root**2 + b3 * root**3 + b4 * root**4)
+def test_cubic_recovers_planted_root(root, c2, c3):
+    # build a cubic with a controlled sign change at the planted root
+    c1 = 1.0  # dominant linear term keeps the bracket clean
+    c0 = -(c1 * root + c2 * root**2 + c3 * root**3)
     # the solver's precondition: a second root in [0, 1] can cancel the sign
     # change between the endpoints (see the two-root case below)
-    assume(b0 * (b0 + b1 + b2 + b3 + b4) < 0.0)
-    got = quartic_root_unit(b0, b1, b2, b3, b4)
-    val = b0 + b1 * got + b2 * got**2 + b3 * got**3 + b4 * got**4
-    assert abs(val) <= 1e-10
+    assume(c0 * (c0 + c1 + c2 + c3) < 0.0)
+    got, bracketed = _cubic_root(c0, c1, c2, c3)
+    assert bracketed
+    assert abs(c0 + c1 * got + c2 * got**2 + c3 * got**3) <= 1e-10
 
 
-def test_quartic_two_roots_without_bracket():
-    # planted root 0.75 plus a second root in (0.75, 1]: no endpoint sign change
-    root, b2, b3, b4 = 0.75, -0.375, -0.125, -0.0625
-    b0 = -(root + b2 * root**2 + b3 * root**3 + b4 * root**4)
-    with pytest.raises(NoBracketError):
-        quartic_root_unit(b0, 1.0, b2, b3, b4)
+def test_cubic_two_roots_without_bracket():
+    # planted root 0.75 plus a second root in (0.75, 1]: no endpoint sign
+    # change, so the cell is reported unbracketed with a NaN root
+    root, c2, c3 = 0.75, -0.5, -0.125
+    c0 = -(root + c2 * root**2 + c3 * root**3)
+    assert c0 < 0.0 and c0 + 1.0 + c2 + c3 < 0.0
+    got, bracketed = _cubic_root(c0, 1.0, c2, c3)
+    assert not bracketed and math.isnan(got)
 
 
-def test_quartic_endpoints():
-    assert quartic_root_unit(0.0, 1.0, 0.0, 0.0, 0.0) == 0.0
-    assert quartic_root_unit(-1.0, 1.0, 0.0, 0.0, 0.0) == 1.0
+def test_cubic_endpoints():
+    assert _cubic_root(0.0, 1.0, 0.0, 0.0) == (0.0, True)
+    assert _cubic_root(-1.0, 1.0, 0.0, 0.0) == (1.0, True)
 
 
 # -- model quantiles ----------------------------------------------------------
@@ -191,12 +196,13 @@ def test_var_refuses_levels_beyond_the_window_tail_mass(key, sp_table, btc_table
 
 # -- sampler quantile ---------------------------------------------------------
 #
-# The scalar solver and sampler quantile as they stood before they were
-# vectorised, kept as the oracle: the array versions must reproduce them bit
-# for bit, since every seeded sample is drawn through them.
+# The scalar quartic solver as it stood before it was vectorised, kept as the
+# oracle: the cubic solve must reproduce it bit for bit at b4 = 0, since every
+# seeded sample is drawn through it.
 
 
 def _quartic_reference(b0, b1, b2, b3, b4):
+    # (root, whether a step bisected), or None without a sign change
     b = (b0, b1, b2, b3, b4)
 
     def poly(y):
@@ -205,48 +211,53 @@ def _quartic_reference(b0, b1, b2, b3, b4):
     tol = 1e-12 * max(max(abs(c) for c in b), 1e-300)
     v0, v1 = b0, poly(1.0)
     if abs(v0) <= tol:
-        return 0.0
+        return 0.0, False
     if abs(v1) <= tol:
-        return 1.0
+        return 1.0, False
     if v0 * v1 > 0.0:
-        raise NoBracketError("no sign change")
+        return None
     lo, hi = 0.0, 1.0
+    bisected = False
     y = min(max(-b0 / b1, 0.0), 1.0) if b1 != 0.0 else 0.5
     for _ in range(100):
         py = poly(y)
         if abs(py) <= tol:
-            return float(y)
+            return float(y), bisected
         if (py < 0.0) == (v0 < 0.0):
             lo = y
         else:
             hi = y
         dp = b1 + y * (2.0 * b2 + y * (3.0 * b3 + y * 4.0 * b4))
-        yn = y - py / dp if dp != 0.0 else 0.5 * (lo + hi)
-        if not lo < yn < hi:
+        yn = y - py / dp if dp != 0.0 else None
+        if yn is None or not lo < yn < hi:
             yn = 0.5 * (lo + hi)
+            bisected = True
         y = yn
-    return float(y)
+    return float(y), bisected
 
 
-def test_quartic_roots_match_scalar_reference():
+def test_cubic_roots_match_scalar_reference():
+    # the random matrix the quartic solver was pinned on, with b4 = 0: the
+    # cubic solve reproduces the scalar loop bit for bit, and the matrix
+    # takes the bisection branch, which the SP and BTC draws never reach
     rng = np.random.default_rng(8)
     b = rng.standard_normal((5, 3000)) * np.array([[1.0], [1.0], [0.5], [0.3], [0.2]])
+    b[4] = 0.0
     b[1, :50] = 0.0  # seed at the midpoint
     b[0, 50:60] = 0.0  # root at 0
     b[0, 60:70] = -b[1:, 60:70].sum(axis=0)  # root at 1
-    y, bracketed = _quartic_roots(b)
-    n_bracketed = 0
+    y, bracketed = _cubic_roots(b[:4])
+    n_bracketed = n_bisected = 0
     for k in range(b.shape[1]):
-        try:
-            want = _quartic_reference(*b[:, k])
-        except NoBracketError:
+        ref = _quartic_reference(*b[:, k])
+        if ref is None:
             assert not bracketed[k] and np.isnan(y[k])
             continue
         n_bracketed += 1
-        assert bracketed[k] and y[k] == want
-        if k % 10 == 0:
-            assert quartic_root_unit(*b[:, k]) == want
+        assert bracketed[k] and y[k] == ref[0]
+        n_bisected += ref[1]
     assert 500 < n_bracketed < b.shape[1]
+    assert n_bisected >= 1
 
 
 @pytest.mark.parametrize("key", ["sp", "btc"])
@@ -289,6 +300,42 @@ def test_sampler_quantile_is_var(key, sp_table, btc_table):
     for k in np.flatnonzero(accepted):
         assert got[k] == var(table, levels[k])
         assert abs(cdf_at(table, got[k]) - levels[k]) <= allowed[k]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda t: 10.0**t)
+
+
+# the validated box: beta log-uniform over (1e-8, 1 - 1e-8), kept strictly
+# inside it, alpha log-uniform over [1e-3, 1e2], lambda over [1e-2, 1e2]
+_BETAS = _log_uniform(BOUND_EPS, 1.0).map(
+    lambda b: min(max(b, math.nextafter(BOUND_EPS, 1.0)), math.nextafter(1.0 - BOUND_EPS, 0.0))
+)
+_ALPHAS = _log_uniform(1e-3, 1e2)
+_LAMBDAS = _log_uniform(1e-2, 1e2)
+
+
+@given(st.floats(-3.0, 3.0), _BETAS, _BETAS, _ALPHAS, _ALPHAS, _LAMBDAS, _LAMBDAS)
+@settings(max_examples=200, deadline=None)
+def test_table_inverse_over_the_parameter_box(mu, beta_plus, beta_minus, alpha_plus, alpha_minus, lambda_plus, lambda_minus):
+    # every point of the box either has its grid refused before anything of
+    # size m is built (a few arrays of choose_grid's 4097 samples at most),
+    # or tabulates past density_table's gates with var the exact inverse of
+    # cdf_at and the sampler's quantile var itself
+    params = GtsParams(mu, beta_plus, beta_minus, alpha_plus, alpha_minus, lambda_plus, lambda_minus)
+    tracemalloc.start()
+    try:
+        grid = choose_grid(params)
+    except GridError:
+        assert tracemalloc.get_traced_memory()[1] < 4e6
+        return
+    finally:
+        tracemalloc.stop()
+    table = density_table(params, grid)
+    for level in (1e-3, 0.05, 0.5, 0.95):
+        x = var(table, level)
+        assert abs(cdf_at(table, x) - level) <= 1e-9, level
+        assert _quantile_clamped(table, np.array([level]))[0] == x, level
 
 
 # -- tail payoff via contour integration --------------------------------------

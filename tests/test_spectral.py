@@ -305,6 +305,21 @@ def test_grid_rejects_size_above_node_cap():
         choose_grid(SP, m_target=2**21 + 12)
 
 
+@pytest.mark.parametrize(
+    "sides, match",
+    [
+        # beta+ at the 0 face and beta- at the 1 face: h was 994 719 627, a
+        # MemoryError in the transform instead of a GridError
+        ((1.0000000000000002e-08, 0.9999999899999998, 100.0, 100.0, 0.01, 0.01), "h = 994719627"),
+        # both betas at the 1 face: the table's density came out at -6.2e-5
+        ((0.9999999899999998, 0.9999999899999998, 100.0, 100.0, 100.0, 100.0), "rounding"),
+    ],
+)
+def test_grid_refuses_box_corners_before_building(sides, match):
+    with pytest.raises(GridError, match=match):
+        choose_grid(GtsParams(0.0, *sides))
+
+
 def test_grid_validates_arguments():
     with pytest.raises(ValueError):
         choose_grid(SP, m_target=6)
