@@ -60,7 +60,6 @@ class RunConfig:
     synth_n: int = 4000
     interval: tuple = (-1.06, 1.23)
     max_iter: int = FitOptions.max_iter
-    grad_tol: float = FitOptions.grad_tol
 
     def validate(self) -> None:
         if self.grid_m < 12 or self.grid_m % 12 != 0:
@@ -85,31 +84,45 @@ class RunConfig:
                 ) from None
             if w < 1:
                 raise ConfigError(f"window must be positive, got {w}")
-        if not self.grad_tol > 0.0:
-            raise ConfigError(f"grad_tol must be positive, got {self.grad_tol}")
+
+
+def _levels(text: str) -> tuple:
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
+
+
+# each flag's RunConfig field as its dest; every command also takes --config and --out
+_FLAGS = {
+    "--input": dict(dest="input_path", help="price CSV path"),
+    "--params": dict(dest="params_path", help="parameter JSON path"),
+    "--grid-m": dict(dest="grid_m", type=int, help="least transform size m, a multiple of 12; the CDF bound may raise m"),
+    "--levels": dict(dest="levels", type=_levels, help="comma-separated tail probabilities"),
+    "--seed": dict(dest="seed", type=int, help="RNG seed of the draws"),
+    "--window": dict(dest="window", help="vol window: month, year or a day count"),
+}
+
+# each command's help and the flags it reads
+_COMMAND_FLAGS = {
+    "stats": ("summary statistics of a return series", ("--input", "--params")),
+    "fit": ("maximum likelihood parameter fit", ("--input", "--params", "--grid-m")),
+    "pdf": ("tabulate density, CDF and derivative columns", ("--params", "--grid-m")),
+    "risk": ("VaR and AVaR tables", ("--params", "--input", "--grid-m", "--levels")),
+    "vol": ("rolling realized volatility series", ("--input", "--window")),
+    "synth": ("seeded synthetic sample from fitted parameters", ("--params", "--grid-m", "--seed")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gtsfit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    helps = {
-        "stats": "summary statistics of a return series",
-        "fit": "maximum likelihood parameter fit",
-        "pdf": "tabulate density, CDF and derivative columns",
-        "risk": "VaR and AVaR tables",
-        "vol": "rolling realized volatility series",
-        "synth": "seeded synthetic sample from fitted parameters",
-    }
-    for name, text in helps.items():
+    for name, (text, flags) in _COMMAND_FLAGS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--input", help="price CSV path")
-        p.add_argument("--params", help="parameter JSON path")
-        p.add_argument("--grid-m", type=int, dest="grid_m", help="transform size, multiple of 12")
-        p.add_argument("--levels", help="comma-separated tail probabilities")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="RNG seed for synth")
-        p.add_argument("--window", help="vol window: month, year or a day count")
+        p.add_argument("--out", dest="output_dir", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return ap
 
 
@@ -122,7 +135,6 @@ _CONFIG_TYPES = {
     "levels": (list, type(None)),
     "interval": list,
     "window": (str, int, type(None)),
-    "grad_tol": (int, float),
 }
 
 
@@ -148,23 +160,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             if key not in _CONFIG_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, _config_value(key, val))
-    if args.input is not None:
-        cfg.input_path = args.input
-    if args.params is not None:
-        cfg.params_path = args.params
-    if args.grid_m is not None:
-        cfg.grid_m = args.grid_m
-    if args.levels is not None:
-        try:
-            cfg.levels = tuple(float(tok) for tok in args.levels.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --levels value {args.levels!r}") from None
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.window is not None:
-        cfg.window = args.window
+    for f in dataclasses.fields(cfg):  # a flag the command does not take is absent
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     cfg.validate()
     return cfg
 
@@ -261,7 +259,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     init = None
     if cfg.params_path is not None:
         init = _require_params(cfg)
-    opts = FitOptions(max_iter=cfg.max_iter, grad_tol=cfg.grad_tol, grid_m=cfg.grid_m)
+    opts = FitOptions(max_iter=cfg.max_iter, grid_m=cfg.grid_m)
     params, trace, status = fit(rets.values, init, opts)
     outdir = _outdir(cfg)
     save_params(params, outdir / "params.json")

@@ -41,7 +41,8 @@ it passes ``GtsParams.validate`` and does not lower the log likelihood
 beyond rounding (1e-11 relative); line-search probes evaluate only the
 likelihood row on the current grid.
 The convergence certificate (score norm and largest eigenvalue) therefore
-always comes from the true second derivatives.
+always comes from the true second derivatives; the fit converges once the
+score norm is at most the fixed ``_GRAD_TOL`` = 1e-6 and no eigenvalue is positive.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ _DENSITY_FLOOR = 1e-300
 _COVERAGE = 40.0
 _SAMPLE_BLOCK = 8192  # levels per quantile call in sample_inverse_cdf
 _STEP_DAMPING = 50  # deepest damping level d of a trial step, scaled by 0.5**d
+_GRAD_TOL = 1e-6  # score norm at which a point with no positive Hessian eigenvalue converges
 
 
 class FitStatus(enum.Enum):
@@ -92,7 +94,6 @@ class NonFiniteLikelihoodError(_FitError):
 @dataclass(frozen=True)
 class FitOptions:
     max_iter: int = 100
-    grad_tol: float = 1e-6
     grid_m: int = DEFAULT_GRID_M
 
 
@@ -246,7 +247,7 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
     """Newton ascent of the log likelihood.
 
     Returns ``(params, trace, status)``; status is ``CONVERGED`` when the
-    score norm is at most ``grad_tol`` with a negative semidefinite Hessian,
+    score norm is at most ``_GRAD_TOL`` with a negative semidefinite Hessian,
     ``MAX_ITER`` when the iteration cap is reached or no trial point along
     the Newton or steepest-ascent direction is acceptable.  Accepted steps
     never decrease the log likelihood by more than 1e-11 relative, the
@@ -285,7 +286,7 @@ def fit(returns, init: Optional[GtsParams] = None, options: Optional[FitOptions]
                 damping=damping_used,
             )
         )
-        if gnorm <= opts.grad_tol and emax <= 0.0:
+        if gnorm <= _GRAD_TOL and emax <= 0.0:
             status = FitStatus.CONVERGED
             break
         if it == opts.max_iter:

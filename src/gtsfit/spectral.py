@@ -88,7 +88,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .data import write_csv
-from .gts_model import GtsParams, _char_terms, _exponent, _psi_hess, _side_parts, char_fn, cumulants
+from .gts_model import GtsParams, _char_terms, _psi_hess, char_fn, cumulants
 from .special_linalg import NumericError
 
 _TAIL_TOL = 1e-12
@@ -387,8 +387,8 @@ def choose_grid(
         a *= 2.0
 
     xi_c = np.linspace(-a / 2.0, a / 2.0, 4097)
-    sides = _side_parts(params, -xi_c)
-    abs_f = np.abs(np.exp(_exponent(params, -xi_c, sides)))
+    f_c, _, sides = _char_terms(params, xi_c, False)
+    abs_f = np.abs(f_c)
     ulps = sum(
         abs(d["a"] * d["g"]) * (np.abs(d["diff"]) + d["b"] * np.exp(d["b"] * d["logw"].real) * (np.abs(d["logw"]) + abs(d["llam"])))
         for d in sides.values()

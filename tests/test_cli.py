@@ -370,6 +370,15 @@ def test_bad_levels_rejected(sp_json, tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_levels_that_are_not_numbers_are_a_usage_error(sp_json, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["risk", "--params", str(sp_json), "--levels", "0.05,x", "--out", str(out)])
+    assert exc.value.code == EXIT_INPUT
+    assert "argument --levels: not a comma-separated list of numbers: '0.05,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_risk_level_outside_tail_range_rejected_before_work(sp_json, tmp_path, capsys, monkeypatch):
     # levels are tail probabilities: 0.6 is refused by the config check,
     # before any table or ladder rung is computed
@@ -392,10 +401,41 @@ def test_grid_m_multiple_of_12(sp_json, tmp_path):
     assert code == EXIT_INPUT
 
 
+# the flags each command reads besides --config and --out
+_READS = {
+    "stats": ("--input", "--params"),
+    "fit": ("--input", "--params", "--grid-m"),
+    "pdf": ("--params", "--grid-m"),
+    "risk": ("--params", "--input", "--grid-m", "--levels"),
+    "vol": ("--input", "--window"),
+    "synth": ("--params", "--grid-m", "--seed"),
+}
+_FLAGS = ("--input", "--params", "--grid-m", "--levels", "--seed", "--window")
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, reads in _READS.items() for f in _FLAGS if f not in reads]
+)
+def test_flag_the_command_does_not_read_exits_2(command, flag, returns_csv, sp_json, tmp_path, capsys):
+    # a run that is complete but for one flag its command would ignore is
+    # refused by the parser with exit 2, naming the flag, before any output
+    values = {
+        "--input": str(returns_csv), "--params": str(sp_json), "--grid-m": "8196",
+        "--levels": "0.01", "--seed": "3", "--window": "month",
+    }
+    out = tmp_path / "o"
+    argv = [command, *(a for f in _READS[command] for a in (f, values[f])), flag, values[flag], "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {flag} {values[flag]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key(sp_json, tmp_path, capsys):
-    # a misspelt key and a retired one (the fitter's step_damping, now fixed)
-    # both end in exit 2 naming the key
-    for key, val in (("grid_n", 12), ("step_damping", 50)):
+    # a misspelt key and retired ones (the fitter's step_damping and grad_tol,
+    # now fixed) all end in exit 2 naming the key
+    for key, val in (("grid_n", 12), ("step_damping", 50), ("grad_tol", 1e-6)):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: val}), encoding="utf-8")
         code = main(["pdf", "--config", str(cfg), "--params", str(sp_json), "--out", str(tmp_path)])
@@ -416,7 +456,6 @@ def test_unknown_config_key(sp_json, tmp_path, capsys):
         ("levels", []),
         ("interval", None),
         ("max_iter", 0),
-        ("grad_tol", 0),
         ("seed", -1),
     ],
 )
